@@ -2,8 +2,8 @@
 //! batch of B requests over one conv tile, is it faster to (a) restage
 //! the tile's packed weights per request (the old sequential loop), or
 //! (b) stage them once and sweep all B inputs through the held staging,
-//! rewriting only the input buffer between requests (the shipped
-//! `ConvBatchMajor` plan)?
+//! rewriting only the input buffer between requests (the conv arm of
+//! the executor's layer-major walk, `BatchPlan::LayerMajor`)?
 //!
 //! Usage: `conv_batch_probe [reps]` (default 200; one rep = one
 //! 16-request batch per strategy).
@@ -46,7 +46,7 @@ use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::ConvGeom;
 use nm_isa::CostModel;
-use nm_kernels::conv::sparse_isa::{conv_sparse_isa_prepared, conv_sparse_isa_prepared_batch};
+use nm_kernels::conv::sparse_isa::conv_sparse_isa_prepared_batch;
 use nm_kernels::conv::sparse_sw::SparseConvJob;
 use nm_kernels::conv::{ConvBatch, ConvJob, DecimProgram};
 use nm_kernels::layout::stage_conv_sparse;
@@ -101,10 +101,15 @@ fn main() {
             let bufs = stage_conv_sparse(&mut mem, &geom, input, &weights, cluster.n_cores())
                 .expect("tile fits");
             let mut ctx = Ctx::MemBulk(&mut mem);
-            let stats =
-                conv_sparse_isa_prepared(&mut ctx, &job_for(bufs), &cluster, Some(&program))
-                    .expect("kernel runs");
-            sink = sink.wrapping_add(stats.cycles());
+            let run = conv_sparse_isa_prepared_batch(
+                &mut ctx,
+                &job_for(bufs),
+                &cluster,
+                Some(&program),
+                &ConvBatch { inputs: &[input] },
+            )
+            .expect("kernel runs");
+            sink = sink.wrapping_add(run.stats[0].cycles());
         }
     }
     let restage_s = t.elapsed().as_secs_f64();

@@ -614,8 +614,8 @@ fn serve_chaos_env() -> Option<(u64, usize)> {
 /// is submitted to a single-worker service and fully drained. What is
 /// timed is everything serving pays after compile time — submission,
 /// queueing, same-model coalescing up to `max_batch`, execution through
-/// the shared [`PreparedGraph`] (the multi-token path when the model is
-/// coalescible) and response delivery; preparation happens once outside
+/// the shared [`PreparedGraph`]'s layer-major walk (tile weights staged
+/// once per batch) and response delivery; preparation happens once outside
 /// the loop. One worker and `host_threads = 1` keep the three batch
 /// sizes comparable on any host: the batch limit is the only variable,
 /// so requests/sec across the `-b1`/`-b4`/`-b16` rows isolates what
@@ -1148,11 +1148,10 @@ pub fn run_suite_filtered(reps: u32, filter: Option<&str>) -> EngineReport {
     ];
     // The serving workloads: requests/sec through the `nm-serve`
     // batched inference service at batch limits 1 / 4 / 16, for a
-    // conv-dominated model (the half-width serve ResNet18 — batching
-    // amortizes queue/dispatch overhead only, so the three rows should
-    // be near-identical and batch-16 must not regress) and for a
-    // coalescible sparse MLP (the multi-token path stages each tile's
-    // weights once per batch — batching buys real staging work). The
+    // conv-dominated model (the half-width serve ResNet18 — each conv
+    // tile sweeps the batch through held staging) and for a sparse MLP
+    // (each Linear tile's weights stage once per batch's token stream).
+    // Batching buys real work in both families. The
     // snapshot test in `crate::gate` pins the batching floors on the
     // checked-in baseline for both families.
     for (name, batch) in [

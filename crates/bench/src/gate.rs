@@ -385,10 +385,11 @@ mod tests {
         };
         // Per family: the floor batch-16 must clear relative to batch-1.
         // Both wins are structural, so both families must show a real
-        // gain, not merely avoid regressing. The MLP family coalesces a
-        // batch into one stacked matmul (tile weights stage once per
-        // batch — ~1.15× measured). The conv family runs batch-major
-        // (`BatchPlan::ConvBatchMajor`): each tile's packed weights and
+        // gain, not merely avoid regressing. Both run the layer-major
+        // walk (`BatchPlan::LayerMajor`). The MLP family streams a
+        // batch's requests as tokens through each Linear layer (tile
+        // weights stage once per batch — ~1.15× measured). The conv
+        // family sweeps each conv tile batch-major: its packed weights and
         // decimation table are staged/validated once per batch,
         // requests after the first skip cycle accounting entirely
         // (reusing request 0's input-value-independent statistics), and

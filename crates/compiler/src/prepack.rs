@@ -27,15 +27,17 @@
 //! Serving layers build on two extra entry points: [`prepare_shared`]
 //! co-owns the graph through an [`Arc`] (no borrow lifetime, so one
 //! prepared model is shared across worker threads), and [`run_batch`]
-//! executes a batch of independent requests under the graph's
-//! [`BatchPlan`] ([`batch_plan`]): a pure Linear/activation chain is
-//! coalesced into one multi-token pass ([`BatchPlan::TokenCoalesced`]),
-//! a conv graph is walked layer-major with every conv tile's packed
-//! weights staged **once per batch** and all requests swept through the
-//! held staging ([`BatchPlan::ConvBatchMajor`]), and anything else runs
-//! request-by-request ([`BatchPlan::Sequential`] — with the reason the
-//! plan says so). Whatever the plan, every request's output and cycle
-//! total stay bit-identical to a sequential [`run`] loop.
+//! executes a batch of independent requests. [`run`] and [`run_batch`]
+//! share one layer-major walk: every Conv/Linear layer runs once for the
+//! whole batch, each tile's packed weights staged **once per batch** and
+//! all requests swept through the held staging (a Linear layer treats
+//! every request's tokens as one token stream), while every other op runs
+//! per request. A single [`run`] is the batch of one. The batch's
+//! [`BatchPlan`] ([`batch_plan`]) only reports whether that sharing
+//! happens: [`BatchPlan::LayerMajor`] for any graph with a Conv/Linear
+//! layer, [`BatchPlan::Sequential`] (with the reason) otherwise or for a
+//! batch of one. Either way, every request's output and cycle total stay
+//! bit-identical to a sequential [`run`] loop.
 //!
 //! [`prepare`]: PreparedGraph::prepare
 //! [`run`]: PreparedGraph::run
@@ -126,36 +128,31 @@ impl GraphRef<'_> {
     }
 }
 
-/// How [`PreparedGraph::run_batch`] executes a batch of independent
-/// requests — the first-class answer to "will batching share any work
-/// here, and if not, why not".
+/// Whether [`PreparedGraph::run_batch`] shares work across a batch of
+/// independent requests — the first-class answer to "will batching share
+/// any work here, and if not, why not".
 ///
 /// The plan is a property of the prepared graph alone
 /// ([`PreparedGraph::batch_plan`]); [`executed`](Self::executed)
 /// additionally folds in the batch size, since a batch of one never
-/// shares work regardless of the graph. Every plan upholds the same
-/// contract: request `i`'s output and cycle total are bit-identical to
-/// `run(inputs[i])` in a sequential loop.
+/// shares work regardless of the graph. Both plans run the same walk and
+/// uphold the same contract: request `i`'s output and cycle total are
+/// bit-identical to `run(inputs[i])` in a sequential loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BatchPlan {
-    /// Requests run one by one through [`PreparedGraph::run`]; no work
-    /// is shared across the batch. `reason` says why the graph (or the
-    /// batch size) forces this.
+    /// No work is shared across the batch: each request's layers run as
+    /// if it were alone. `reason` says why the graph (or the batch size)
+    /// forces this.
     Sequential {
         /// Human-readable explanation, surfaced by serving and bench
         /// summaries so a sequential batch is never silent.
         reason: &'static str,
     },
-    /// The whole batch is stacked into one `[B, C]` tensor and swept
-    /// through the Linear/activation chain as B tokens: each Linear
-    /// tile's weights stage once per batch, not once per request.
-    TokenCoalesced,
-    /// The graph is walked layer-major: each conv tile's packed weights
-    /// (and pre-decoded decimation table) are staged into the
+    /// The graph is walked layer-major: each Conv/Linear tile's packed
+    /// weights (and pre-decoded decimation table) are staged into the
     /// scratchpad once per batch and all B requests sweep through the
-    /// held staging; Linear layers over vectors coalesce into one
-    /// multi-token pass; remaining ops run per request.
-    ConvBatchMajor,
+    /// held staging; remaining ops run per request.
+    LayerMajor,
 }
 
 impl BatchPlan {
@@ -163,14 +160,13 @@ impl BatchPlan {
     pub fn label(self) -> &'static str {
         match self {
             BatchPlan::Sequential { .. } => "sequential",
-            BatchPlan::TokenCoalesced => "token-coalesced",
-            BatchPlan::ConvBatchMajor => "conv-batch-major",
+            BatchPlan::LayerMajor => "layer-major",
         }
     }
 
     /// Whether this plan shares any staging work across requests.
     pub fn shares_work(self) -> bool {
-        !matches!(self, BatchPlan::Sequential { .. })
+        self == BatchPlan::LayerMajor
     }
 
     /// The plan actually executed for a batch of `batch` requests: a
@@ -324,90 +320,28 @@ impl<'g> PreparedGraph<'g> {
                 graph.input_shape()
             )));
         }
-        self.run_validated(input)
-    }
-
-    /// [`run`](Self::run) minus the input-shape check — the body shared
-    /// with [`run_batch`](Self::run_batch), whose sequential plan has
-    /// already validated every request up front.
-    fn run_validated(&self, input: &Tensor<i8>) -> Result<EmulatedRun> {
-        let graph = self.graph();
-        let nodes = graph.nodes();
-        let mut values: Vec<Option<Tensor<i8>>> = vec![None; nodes.len()];
-        values[0] = Some(input.clone());
-        let mut matmul_cycles = 0;
-        for (id, node) in nodes.iter().enumerate().skip(1) {
-            let get = |i: usize| values[node.inputs[i]].as_ref().expect("topological order");
-            let out = match &node.op {
-                OpKind::Conv2d(l) => {
-                    let Some(PreparedMatmul::Conv(p)) = &self.layers[id] else {
-                        unreachable!("conv node was prepared")
-                    };
-                    let (mut t, cyc) = self.run_conv(l, p, &[get(0)])?;
-                    matmul_cycles += cyc[0];
-                    t.pop().expect("one output per request")
-                }
-                OpKind::Linear(l) => {
-                    let Some(PreparedMatmul::Fc(p)) = &self.layers[id] else {
-                        unreachable!("linear node was prepared")
-                    };
-                    let (t, per_token) = self.run_fc(l, p, get(0))?;
-                    matmul_cycles += per_token.iter().sum::<u64>();
-                    t
-                }
-                _ => reference_op(node, get)?,
-            };
-            values[id] = Some(out);
-        }
-        Ok(EmulatedRun {
-            output: values[graph.output()].take().expect("output computed"),
-            matmul_compute_cycles: matmul_cycles,
-        })
+        let mut runs = self.walk(&[input])?;
+        Ok(runs.pop().expect("one run per request"))
     }
 
     /// The [`BatchPlan`] this graph's [`run_batch`](Self::run_batch)
-    /// executes — decided once from the graph's structure:
-    ///
-    /// * [`BatchPlan::TokenCoalesced`] when the graph takes a single
-    ///   vector (`[C]`) and is a pure Linear / ReLU / GELU **chain** —
-    ///   each node consumes exactly the previous one and the last node
-    ///   is the output — every op of which treats the leading dimension
-    ///   as independent tokens. The chain requirement matters: these
-    ///   ops can also form DAGs (skip connections, fan-out), which the
-    ///   stacked sweep does not model.
-    /// * [`BatchPlan::ConvBatchMajor`] for any other graph containing a
-    ///   Conv2d node: conv tiles execute batch-major under held weight
-    ///   staging, and the node-level walk handles arbitrary DAG wiring
-    ///   (residual Adds, pools, flatten) per request.
-    /// * [`BatchPlan::Sequential`] otherwise, with the reason — e.g. an
-    ///   attention graph or a Linear DAG that is not a chain, where no
-    ///   cross-request staging is shared today.
+    /// executes: [`BatchPlan::LayerMajor`] when the graph has any
+    /// Conv2d/Linear layer (its tiles then stage weights once per
+    /// batch), [`BatchPlan::Sequential`] otherwise, with the reason.
     pub fn batch_plan(&self) -> BatchPlan {
-        let graph = self.graph();
-        let nodes = graph.nodes();
-        let chain = graph.input_shape().len() == 1
-            && graph.output() == nodes.len() - 1
-            && nodes.iter().enumerate().skip(1).all(|(id, n)| {
-                matches!(n.op, OpKind::Linear(_) | OpKind::Relu | OpKind::Gelu)
-                    && n.inputs == [id - 1]
-            });
-        if chain {
-            BatchPlan::TokenCoalesced
-        } else if nodes.iter().any(|n| matches!(n.op, OpKind::Conv2d(_))) {
-            BatchPlan::ConvBatchMajor
+        if self.layers.iter().any(Option::is_some) {
+            BatchPlan::LayerMajor
         } else {
             BatchPlan::Sequential {
-                reason: "graph has no conv layers and is not a pure Linear/activation chain",
+                reason: "graph has no Conv/Linear layers",
             }
         }
     }
 
-    /// Executes a batch of independent requests under
-    /// [`batch_plan`](Self::batch_plan): a Linear/activation chain is
-    /// stacked into one `[B, C]` multi-token pass, a conv graph runs
-    /// layer-major with each conv tile's packed weights staged **once
-    /// per batch**, and everything else falls back to a sequential
-    /// [`run`](Self::run) loop (the plan's `reason` says why).
+    /// Executes a batch of independent requests layer-major: each
+    /// Conv/Linear tile's packed weights are staged **once per batch**
+    /// and every request sweeps through the held staging; every other op
+    /// runs per request. An empty batch returns no runs.
     ///
     /// Batching is an amortization, never a semantic change: request
     /// `i`'s output and cycle total are bit-identical to
@@ -432,75 +366,22 @@ impl<'g> PreparedGraph<'g> {
                 )));
             }
         }
-        match self.batch_plan().executed(inputs.len()) {
-            BatchPlan::Sequential { .. } => inputs
-                .iter()
-                .map(|input| self.run_validated(input))
-                .collect(),
-            BatchPlan::TokenCoalesced => self.run_batch_coalesced(inputs),
-            BatchPlan::ConvBatchMajor => self.run_batch_conv_major(inputs),
-        }
+        self.walk(inputs)
     }
 
-    /// The coalesced multi-token pass behind [`run_batch`](Self::run_batch):
-    /// one `[B, C]` sweep through the Linear/activation chain, with
-    /// per-request cycle totals taken from each Linear layer's per-token
-    /// kernel statistics.
-    fn run_batch_coalesced(&self, inputs: &[&Tensor<i8>]) -> Result<Vec<EmulatedRun>> {
-        let graph = self.graph();
-        let c = graph.input_shape()[0];
-        let b = inputs.len();
-        let mut stacked = Vec::with_capacity(b * c);
-        for input in inputs {
-            stacked.extend_from_slice(input.data());
-        }
-        let mut value = Tensor::from_vec(&[b, c], stacked)?;
-        let mut per_request = vec![0u64; b];
-        for (id, node) in graph.nodes().iter().enumerate().skip(1) {
-            value = match &node.op {
-                OpKind::Linear(l) => {
-                    let Some(PreparedMatmul::Fc(p)) = &self.layers[id] else {
-                        unreachable!("linear node was prepared")
-                    };
-                    let (t, per_token) = self.run_fc(l, p, &value)?;
-                    debug_assert_eq!(per_token.len(), b);
-                    for (total, cyc) in per_request.iter_mut().zip(&per_token) {
-                        *total += cyc;
-                    }
-                    t
-                }
-                OpKind::Relu => ops::relu(&value),
-                OpKind::Gelu => ops::gelu(&value),
-                _ => unreachable!("the token-coalesced plan admits only Linear/ReLU/GELU"),
-            };
-        }
-        let k = value.len() / b;
-        let out_shape = &graph.node(graph.output()).out_shape;
-        inputs
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                let row = value.data()[i * k..(i + 1) * k].to_vec();
-                Ok(EmulatedRun {
-                    output: Tensor::from_vec(out_shape, row)?,
-                    matmul_compute_cycles: per_request[i],
-                })
-            })
-            .collect()
-    }
-
-    /// The conv-batch-major walk behind [`run_batch`](Self::run_batch):
+    /// The graph walk behind [`run`](Self::run) and
+    /// [`run_batch`](Self::run_batch), over shape-checked inputs:
     /// per-request value tables over the node-level DAG (so residual
-    /// Adds, pools and flatten need no special casing), with the matmul
-    /// layers executing batch-major — conv tiles through
-    /// [`run_conv`](Self::run_conv)'s held staging, vector Linear
-    /// layers through one stacked `[B, C]` pass whose per-token cycles
-    /// are exactly the per-request attribution (the same identity the
-    /// token-coalesced plan relies on).
-    fn run_batch_conv_major(&self, inputs: &[&Tensor<i8>]) -> Result<Vec<EmulatedRun>> {
+    /// Adds, pools and flatten need no special casing), each Conv/Linear
+    /// layer executed once for the whole batch through
+    /// [`run_conv`](Self::run_conv) / [`run_fc`](Self::run_fc), and every
+    /// other op per request through the reference implementations.
+    fn walk(&self, inputs: &[&Tensor<i8>]) -> Result<Vec<EmulatedRun>> {
+        if inputs.is_empty() {
+            return Ok(vec![]);
+        }
         let graph = self.graph();
         let nodes = graph.nodes();
-        let b = inputs.len();
         let mut values: Vec<Vec<Option<Tensor<i8>>>> = inputs
             .iter()
             .map(|input| {
@@ -509,82 +390,40 @@ impl<'g> PreparedGraph<'g> {
                 v
             })
             .collect();
-        let mut per_request = vec![0u64; b];
+        let mut cycles = vec![0u64; inputs.len()];
         for (id, node) in nodes.iter().enumerate().skip(1) {
-            match &node.op {
-                OpKind::Conv2d(l) => {
-                    let Some(PreparedMatmul::Conv(p)) = &self.layers[id] else {
-                        unreachable!("conv node was prepared")
-                    };
-                    let ins: Vec<&Tensor<i8>> = values
-                        .iter()
-                        .map(|v| v[node.inputs[0]].as_ref().expect("topological order"))
-                        .collect();
-                    let (outs, cycles) = self.run_conv(l, p, &ins)?;
-                    for (r, (t, cyc)) in outs.into_iter().zip(cycles).enumerate() {
-                        per_request[r] += cyc;
-                        values[r][id] = Some(t);
-                    }
+            let Some(layer) = &self.layers[id] else {
+                for v in values.iter_mut() {
+                    let out = reference_op(node, |i| {
+                        v[node.inputs[i]].as_ref().expect("topological order")
+                    })?;
+                    v[id] = Some(out);
                 }
-                OpKind::Linear(l) => {
-                    let Some(PreparedMatmul::Fc(p)) = &self.layers[id] else {
-                        unreachable!("linear node was prepared")
-                    };
-                    let shape = values[0][node.inputs[0]]
-                        .as_ref()
-                        .expect("topological order")
-                        .shape()
-                        .to_vec();
-                    if let [c] = shape[..] {
-                        // Stack the B vectors into one multi-token pass:
-                        // weights stage once per batch.
-                        let mut stacked = Vec::with_capacity(b * c);
-                        for v in &values {
-                            stacked.extend_from_slice(
-                                v[node.inputs[0]].as_ref().expect("checked above").data(),
-                            );
-                        }
-                        let stacked = Tensor::from_vec(&[b, c], stacked)?;
-                        let (out, per_token) = self.run_fc(l, p, &stacked)?;
-                        debug_assert_eq!(per_token.len(), b);
-                        let k = out.len() / b;
-                        for (r, v) in values.iter_mut().enumerate() {
-                            per_request[r] += per_token[r];
-                            let row = out.data()[r * k..(r + 1) * k].to_vec();
-                            v[id] = Some(Tensor::from_vec(&node.out_shape, row)?);
-                        }
-                    } else {
-                        // Multi-token per-request inputs (e.g. [T, C]):
-                        // already amortized within the request.
-                        for (r, v) in values.iter_mut().enumerate() {
-                            let x = v[node.inputs[0]].as_ref().expect("topological order");
-                            let (t, per_token) = self.run_fc(l, p, x)?;
-                            per_request[r] += per_token.iter().sum::<u64>();
-                            v[id] = Some(t);
-                        }
-                    }
-                }
-                _ => {
-                    for v in values.iter_mut() {
-                        let out = reference_op(node, |i| {
-                            v[node.inputs[i]].as_ref().expect("topological order")
-                        })?;
-                        v[id] = Some(out);
-                    }
-                }
+                continue;
+            };
+            let ins: Vec<&Tensor<i8>> = values
+                .iter()
+                .map(|v| v[node.inputs[0]].as_ref().expect("topological order"))
+                .collect();
+            let (outs, cyc) = match (&node.op, layer) {
+                (OpKind::Conv2d(l), PreparedMatmul::Conv(p)) => self.run_conv(l, p, &ins)?,
+                (OpKind::Linear(l), PreparedMatmul::Fc(p)) => self.run_fc(l, p, &ins)?,
+                _ => unreachable!("each matmul node is prepared for its own op"),
+            };
+            for (r, (t, c)) in outs.into_iter().zip(cyc).enumerate() {
+                cycles[r] += c;
+                values[r][id] = Some(t);
             }
         }
         let output = graph.output();
-        values
+        Ok(values
             .into_iter()
-            .zip(per_request)
-            .map(|(mut v, cycles)| {
-                Ok(EmulatedRun {
-                    output: v[output].take().expect("output computed"),
-                    matmul_compute_cycles: cycles,
-                })
+            .zip(cycles)
+            .map(|(mut v, cycles)| EmulatedRun {
+                output: v[output].take().expect("output computed"),
+                matmul_compute_cycles: cycles,
             })
-            .collect()
+            .collect())
     }
 
     /// Runs one prepared Conv2d layer batch-major over `inputs` (one
@@ -594,7 +433,7 @@ impl<'g> PreparedGraph<'g> {
     /// scratchpad **once per batch** and all requests sweep through the
     /// held staging, only the tile input buffer rewritten between
     /// requests — the conv analogue of [`run_fc`](Self::run_fc)'s
-    /// per-token path. A single [`run`](Self::run) is the B = 1 case of
+    /// token stream. A single [`run`](Self::run) is the B = 1 case of
     /// the same code path.
     fn run_conv(
         &self,
@@ -723,28 +562,40 @@ impl<'g> PreparedGraph<'g> {
         Ok((tensors, cycles))
     }
 
-    /// Runs one prepared Linear layer, returning the output and the
-    /// emulated compute cycles **per token** (length = token count; a
-    /// 1-D `[C]` input is one token). Per-token attribution is what lets
-    /// [`run_batch`](Self::run_batch) charge each coalesced request
-    /// exactly the cycles a sequential run would have charged it.
+    /// Runs one prepared Linear layer over `inputs` (one tensor per
+    /// request), returning per-request outputs and per-request emulated
+    /// compute cycles. A request's `[C]` input is one token and `[T, C]`
+    /// is T tokens; the requests' tokens form one token stream, so each
+    /// tile's weights stage once per chunk of that stream, never per
+    /// token or per request. A token's cycles depend only on the tile's
+    /// geometry and weights, so every request is charged exactly what a
+    /// run of its own would charge it.
     fn run_fc(
         &self,
         layer: &LinearLayer,
         p: &PreparedFc,
-        input: &Tensor<i8>,
-    ) -> Result<(Tensor<i8>, Vec<u64>)> {
+        inputs: &[&Tensor<i8>],
+    ) -> Result<(Vec<Tensor<i8>>, Vec<u64>)> {
         let geom = &layer.geom;
         let cluster = self.opts.cluster();
-        let (tokens, c) = match input.shape() {
-            [c] => (1, *c),
-            [t, c] => (*t, *c),
-            s => return Err(Error::ShapeMismatch(format!("linear over {s:?}"))),
-        };
+        // The token stream: (request, token index within it, token).
+        let mut stream: Vec<(usize, usize, &[i8])> = Vec::new();
+        let mut shapes = Vec::with_capacity(inputs.len());
+        for (r, input) in inputs.iter().enumerate() {
+            let (t, c, shape) = match input.shape() {
+                [c] => (1, *c, vec![geom.k]),
+                [t, c] => (*t, *c, vec![*t, geom.k]),
+                s => return Err(Error::ShapeMismatch(format!("linear over {s:?}"))),
+            };
+            let data = input.data();
+            stream.extend((0..t).map(|j| (r, j, &data[j * c..(j + 1) * c])));
+            shapes.push(shape);
+        }
+        let tokens = stream.len();
         // Work items are (K-tile, token chunk): weights are staged once
-        // per item and every token of the chunk reuses them, so a
-        // multi-token layer never restages (let alone repacks) weights
-        // per token. Chunking exists purely to feed idle workers when
+        // per item and every token of the chunk reuses them, so weights
+        // are never restaged (let alone repacked) per token or per
+        // request. Chunking exists purely to feed idle workers when
         // there are fewer tiles than threads; boundaries are
         // deterministic, and per-token outputs/cycles don't depend on
         // which chunk ran them.
@@ -772,13 +623,15 @@ impl<'g> PreparedGraph<'g> {
             let mut outs = vec![0u8; t1.saturating_sub(t0) * tg.k];
             mem.reset();
             let mut staged: Option<FcBufs> = None;
-            for (j, t) in (t0..t1).enumerate() {
-                let x = &input.data()[t * c..(t + 1) * c];
+            for (j, &(_, _, x)) in stream[t0..t1].iter().enumerate() {
                 let bufs = match staged {
                     Some(bufs) => {
                         // Weights (and offsets) stay resident; only the
                         // input vector changes between tokens.
-                        copy_i8_to_bytes(mem.slice_mut(bufs.input, c).expect("staged input"), x);
+                        copy_i8_to_bytes(
+                            mem.slice_mut(bufs.input, x.len()).expect("staged input"),
+                            x,
+                        );
                         bufs
                     }
                     None => {
@@ -825,25 +678,32 @@ impl<'g> PreparedGraph<'g> {
         };
         let results = self.run_items(n_tiles * n_chunks, run_item)?;
 
-        let mut out = vec![0i8; tokens * geom.k];
-        let mut token_cycles = vec![0u64; tokens];
+        // Scatter every item's tokens into their requests' outputs.
+        let mut outs: Vec<Vec<i8>> = shapes
+            .iter()
+            .map(|s| vec![0i8; s.iter().product()])
+            .collect();
+        let mut cycles = vec![0u64; inputs.len()];
         for (item, (cyc, bytes)) in results.into_iter().enumerate() {
             let (ti, ci) = (item / n_chunks, item % n_chunks);
             let spec = &p.specs[ti];
             let tg = spec.geom;
             let (t0, t1) = (ci * chunk, ((ci + 1) * chunk).min(tokens));
-            for (j, t) in (t0..t1).enumerate() {
-                token_cycles[t] += cyc[j];
+            for (j, &(r, t, _)) in stream[t0..t1].iter().enumerate() {
+                cycles[r] += cyc[j];
                 let dst = t * geom.k + spec.k0;
-                copy_bytes_to_i8(&mut out[dst..dst + tg.k], &bytes[j * tg.k..(j + 1) * tg.k]);
+                copy_bytes_to_i8(
+                    &mut outs[r][dst..dst + tg.k],
+                    &bytes[j * tg.k..(j + 1) * tg.k],
+                );
             }
         }
-        let shape: Vec<usize> = if input.shape().len() == 1 {
-            vec![geom.k]
-        } else {
-            vec![tokens, geom.k]
-        };
-        Ok((Tensor::from_vec(&shape, out)?, token_cycles))
+        let tensors = outs
+            .into_iter()
+            .zip(&shapes)
+            .map(|(o, s)| Tensor::from_vec(s, o))
+            .collect::<Result<Vec<_>>>()?;
+        Ok((tensors, cycles))
     }
 
     /// Worker threads to use (resolving `0` to the host parallelism).
@@ -945,10 +805,10 @@ impl<'g> PreparedGraph<'g> {
     }
 }
 
-/// Executes one non-matmul node with the reference implementations —
-/// shared by [`PreparedGraph::run`] and the per-request arm of the
-/// conv-batch-major walk. `get(i)` resolves the node's `i`-th input
-/// value. Conv2d/Linear/Input are the caller's job.
+/// Executes one non-matmul node for one request with the reference
+/// implementations — the per-request arm of [`PreparedGraph`]'s walk.
+/// `get(i)` resolves the node's `i`-th input value. Conv2d/Linear/Input
+/// are the caller's job.
 fn reference_op<'v>(node: &Node, get: impl Fn(usize) -> &'v Tensor<i8>) -> Result<Tensor<i8>> {
     Ok(match &node.op {
         OpKind::Attention(a) => nnexec::attention(get(0), a),

@@ -62,8 +62,8 @@ pub(crate) const EPILOGUE_ALU: u64 = 3;
 /// into patch-buffer indices once per invocation. That decode depends
 /// only on the packed weights, so a compile-once executor can build the
 /// table a single time ([`DecimProgram::from_matrix`]) and pass it to the
-/// `_prepared` kernel entry points on every inference, paying zero decode
-/// work per run. The table is identical to the one the kernels build
+/// `_prepared_batch` kernel entry points on every inference, paying zero
+/// decode work per run. The table is identical to the one the kernels build
 /// themselves (same stream walk), so outputs and charged cycles are
 /// unchanged.
 #[derive(Debug, Clone)]
@@ -533,8 +533,8 @@ mod tests {
     use super::dense::{
         conv_dense_1x2, conv_dense_1x2_batch, conv_dense_4x2, conv_dense_4x2_batch,
     };
-    use super::sparse_isa::{conv_sparse_isa_prepared, conv_sparse_isa_prepared_batch};
-    use super::sparse_sw::{conv_sparse_sw_prepared, conv_sparse_sw_prepared_batch};
+    use super::sparse_isa::{conv_sparse_isa, conv_sparse_isa_prepared_batch};
+    use super::sparse_sw::{conv_sparse_sw, conv_sparse_sw_prepared_batch};
     use super::*;
     use crate::layout::{stage_conv_dense, stage_conv_sparse};
     use crate::testdata::random_data;
@@ -569,14 +569,16 @@ mod tests {
                 },
                 nm,
             };
+            let batch = ConvBatch { inputs: &[&input] };
             let run = |mem: &mut Scratchpad, program: Option<&DecimProgram>| {
                 let mut ctx = Ctx::MemBulk(mem);
-                match layout {
+                let run = match layout {
                     OffsetLayout::Plain => {
-                        conv_sparse_sw_prepared(&mut ctx, &job, &cluster, program).unwrap()
+                        conv_sparse_sw_prepared_batch(&mut ctx, &job, &cluster, program, &batch)
                     }
-                    _ => conv_sparse_isa_prepared(&mut ctx, &job, &cluster, program).unwrap(),
-                }
+                    _ => conv_sparse_isa_prepared_batch(&mut ctx, &job, &cluster, program, &batch),
+                };
+                run.unwrap().stats
             };
             let mut own = base.clone();
             let own_stats = run(&mut own, None);
@@ -662,7 +664,7 @@ mod tests {
                     stage_conv_sparse(mem, &geom, x, &sw, cluster.n_cores()).unwrap()
                 }),
                 Box::new(move |ctx, bufs| {
-                    conv_sparse_sw_prepared(ctx, &sparse_job(bufs), &cluster, None).unwrap()
+                    conv_sparse_sw(ctx, &sparse_job(bufs), &cluster).unwrap()
                 }),
                 Box::new(move |ctx, bufs, batch| {
                     conv_sparse_sw_prepared_batch(ctx, &sparse_job(bufs), &cluster, None, batch)
@@ -675,7 +677,7 @@ mod tests {
                     stage_conv_sparse(mem, &geom, x, &isa, cluster.n_cores()).unwrap()
                 }),
                 Box::new(move |ctx, bufs| {
-                    conv_sparse_isa_prepared(ctx, &sparse_job(bufs), &cluster, None).unwrap()
+                    conv_sparse_isa(ctx, &sparse_job(bufs), &cluster).unwrap()
                 }),
                 Box::new(move |ctx, bufs, batch| {
                     conv_sparse_isa_prepared_batch(ctx, &sparse_job(bufs), &cluster, None, batch)
@@ -768,12 +770,13 @@ mod tests {
             },
             nm,
         };
+        let batch = ConvBatch { inputs: &[&input] };
         let mut ctx = Ctx::MemBulk(&mut l1);
-        let err = conv_sparse_sw_prepared(&mut ctx, &job, &cluster, Some(&program));
+        let err = conv_sparse_sw_prepared_batch(&mut ctx, &job, &cluster, Some(&program), &batch);
         assert!(matches!(err, Err(Error::ShapeMismatch(_))));
         // Wrong layout for the kernel family is rejected too.
         let mut ctx = Ctx::MemBulk(&mut l1);
-        let err = conv_sparse_isa_prepared(&mut ctx, &job, &cluster, Some(&program));
+        let err = conv_sparse_isa_prepared_batch(&mut ctx, &job, &cluster, Some(&program), &batch);
         assert!(matches!(err, Err(Error::ShapeMismatch(_))));
         // The interleaved FC layout has no conv table at all.
         let fc = NmMatrix::prune_from_dense(
@@ -860,8 +863,15 @@ mod tests {
         let t = Instant::now();
         for _ in 0..reps * 16 {
             let mut ctx = Ctx::MemBulk(&mut mem);
-            let s = conv_sparse_isa_prepared(&mut ctx, &job, &cluster, Some(&program)).unwrap();
-            sink = sink.wrapping_add(s.cycles());
+            let run = conv_sparse_isa_prepared_batch(
+                &mut ctx,
+                &job,
+                &cluster,
+                Some(&program),
+                &ConvBatch { inputs: &refs[..1] },
+            )
+            .unwrap();
+            sink = sink.wrapping_add(run.stats[0].cycles());
         }
         let single = t.elapsed().as_secs_f64() / 16.0;
         // (d) transposed patch materialization alone (two 8-wide chunks

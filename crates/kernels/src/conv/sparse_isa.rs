@@ -56,38 +56,9 @@ pub fn conv_sparse_isa(
     job: &SparseConvJob,
     cluster: &Cluster,
 ) -> Result<KernelStats> {
-    conv_sparse_isa_prepared(ctx, job, cluster, None)
-}
-
-/// [`conv_sparse_isa`] with an optional pre-decoded decimation table
-/// ([`DecimProgram`], [`OffsetLayout::Duplicated`]). Compile-once
-/// executors build the program from the packed weights a single time and
-/// pass it here on every run, skipping the per-invocation offset decode
-/// of the bulk path; outputs and charged cycles are identical either
-/// way.
-///
-/// The program must come from the same packed matrix that was staged
-/// (the structural check rejects wrong shapes/patterns/layouts; content
-/// identity is the caller's contract).
-///
-/// # Errors
-/// As [`conv_sparse_isa`]; additionally
-/// [`nm_core::Error::ShapeMismatch`] if `program` does not structurally
-/// match the job.
-pub fn conv_sparse_isa_prepared(
-    ctx: &mut Ctx<'_>,
-    job: &SparseConvJob,
-    cluster: &Cluster,
-    program: Option<&DecimProgram>,
-) -> Result<KernelStats> {
     job.validate()?;
     let seg_dup = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Duplicated) as u32;
-    if let Some(p) = program {
-        // Validated regardless of execution path, so a stale program is
-        // rejected even on runs that would not consume it.
-        p.check(job, OffsetLayout::Duplicated)?;
-    }
-    let (table, in_range) = duplicated_table(ctx, job, program, seg_dup);
+    let (table, in_range) = duplicated_table(ctx, job, None, seg_dup);
     Ok(drive(
         format!("conv-sparse-isa-{}", job.nm),
         ctx,
@@ -97,16 +68,20 @@ pub fn conv_sparse_isa_prepared(
     ))
 }
 
-/// [`conv_sparse_isa_prepared`] swept batch-major over `batch.inputs` —
-/// the `xDecimate` analogue of
+/// [`conv_sparse_isa`] swept batch-major over `batch.inputs`, with an
+/// optional pre-decoded decimation table ([`DecimProgram`],
+/// [`OffsetLayout::Duplicated`]) — the `xDecimate` analogue of
 /// [`super::sparse_sw::conv_sparse_sw_prepared_batch`]: table decoded
 /// (or validated) once for the whole batch, weights held staged, one
-/// input rewrite per request.
+/// input rewrite per request. A prepared program skips the bulk path's
+/// per-invocation offset decode; outputs and charged cycles are
+/// identical either way.
 ///
 /// # Errors
-/// As [`conv_sparse_isa_prepared`]; additionally
-/// [`nm_core::Error::ShapeMismatch`] if a request's input length
-/// disagrees with the tile geometry.
+/// As [`conv_sparse_isa`]; additionally
+/// [`nm_core::Error::ShapeMismatch`] if `program` does not structurally
+/// match the job or a request's input length disagrees with the tile
+/// geometry.
 pub fn conv_sparse_isa_prepared_batch(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -117,6 +92,8 @@ pub fn conv_sparse_isa_prepared_batch(
     job.validate()?;
     let seg_dup = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Duplicated) as u32;
     if let Some(p) = program {
+        // Validated regardless of execution path, so a stale program is
+        // rejected even on runs that would not consume it.
         p.check(job, OffsetLayout::Duplicated)?;
     }
     let (table, in_range) = duplicated_table(ctx, job, program, seg_dup);

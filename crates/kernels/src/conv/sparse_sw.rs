@@ -75,36 +75,9 @@ pub fn conv_sparse_sw(
     job: &SparseConvJob,
     cluster: &Cluster,
 ) -> Result<KernelStats> {
-    conv_sparse_sw_prepared(ctx, job, cluster, None)
-}
-
-/// [`conv_sparse_sw`] with an optional pre-decoded decimation table
-/// ([`DecimProgram`], [`OffsetLayout::Plain`]). Compile-once executors
-/// build the program from the packed weights a single time and pass it
-/// here on every run, skipping the per-invocation offset decode of the
-/// bulk path; outputs and charged cycles are identical either way.
-///
-/// The program must come from the same packed matrix that was staged
-/// (the structural check rejects wrong shapes/patterns/layouts; content
-/// identity is the caller's contract).
-///
-/// # Errors
-/// As [`conv_sparse_sw`]; additionally [`nm_core::Error::ShapeMismatch`]
-/// if `program` does not structurally match the job.
-pub fn conv_sparse_sw_prepared(
-    ctx: &mut Ctx<'_>,
-    job: &SparseConvJob,
-    cluster: &Cluster,
-    program: Option<&DecimProgram>,
-) -> Result<KernelStats> {
     job.validate()?;
     let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain) as u32;
-    if let Some(p) = program {
-        // Validated regardless of execution path, so a stale program is
-        // rejected even on runs that would not consume it.
-        p.check(job, OffsetLayout::Plain)?;
-    }
-    let (table, in_range) = plain_table(ctx, job, program, seg);
+    let (table, in_range) = plain_table(ctx, job, None, seg);
     Ok(drive(
         format!("conv-sparse-sw-{}", job.nm),
         ctx,
@@ -114,17 +87,25 @@ pub fn conv_sparse_sw_prepared(
     ))
 }
 
-/// [`conv_sparse_sw_prepared`] swept batch-major over `batch.inputs`:
-/// the packed values, offsets and the decimation table (decoded — or
-/// validated, when prepared — **once for the whole batch**) stay staged
-/// while each request's input rewrites the input buffer. Per-request
-/// statistics and outputs are bit-identical to staging and running each
-/// request alone (see `drive_conv_batch`).
+/// [`conv_sparse_sw`] swept batch-major over `batch.inputs`, with an
+/// optional pre-decoded decimation table ([`DecimProgram`],
+/// [`OffsetLayout::Plain`]): the packed values, offsets and the table
+/// (decoded — or validated, when prepared — **once for the whole
+/// batch**) stay staged while each request's input rewrites the input
+/// buffer. Per-request statistics and outputs are bit-identical to
+/// staging and running each request alone (see `drive_conv_batch`).
+///
+/// Compile-once executors build the program from the packed weights a
+/// single time and pass it here on every run, skipping the
+/// per-invocation offset decode of the bulk path; outputs and charged
+/// cycles are identical either way. The program must come from the same
+/// packed matrix that was staged (the structural check rejects wrong
+/// shapes/patterns/layouts; content identity is the caller's contract).
 ///
 /// # Errors
-/// As [`conv_sparse_sw_prepared`]; additionally
-/// [`Error::ShapeMismatch`] if a request's input length disagrees with
-/// the tile geometry.
+/// As [`conv_sparse_sw`]; additionally [`Error::ShapeMismatch`] if
+/// `program` does not structurally match the job or a request's input
+/// length disagrees with the tile geometry.
 pub fn conv_sparse_sw_prepared_batch(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -135,6 +116,8 @@ pub fn conv_sparse_sw_prepared_batch(
     job.validate()?;
     let seg = nm_segment_bytes(job.nm, job.nz_per_channel(), OffsetLayout::Plain) as u32;
     if let Some(p) = program {
+        // Validated regardless of execution path, so a stale program is
+        // rejected even on runs that would not consume it.
         p.check(job, OffsetLayout::Plain)?;
     }
     let (table, in_range) = plain_table(ctx, job, program, seg);

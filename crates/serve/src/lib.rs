@@ -10,11 +10,11 @@
 //! programs decoded exactly once per (model, format, options) cache
 //! key), a bounded submission queue applies backpressure by shedding,
 //! and a worker pool coalesces same-model requests into batches that
-//! execute under the model's [`BatchPlan`]: Linear/activation chains
-//! stack into one multi-token pass, conv graphs run layer-major with
-//! each conv tile's packed weights staged once per batch, and
-//! everything else runs sequentially — with the executed plan reported
-//! on every result ([`InferenceResult::mode`]).
+//! run layer-major: each Conv/Linear tile's packed weights are staged
+//! once per batch and every request sweeps through them. A graph
+//! without such layers, or a batch of one, shares no work — the
+//! executed [`BatchPlan`] is reported on every result
+//! ([`InferenceResult::mode`]).
 //!
 //! ```no_run
 //! # use nm_serve::{Service, ServiceConfig};
@@ -70,18 +70,16 @@
 //!   `nm_platform::ScratchpadPool` that resets pads to the fresh state
 //!   on checkin);
 //! * batch coalescing routes through [`PreparedGraph::run_batch`],
-//!   which executes the graph's [`BatchPlan`]
-//!   ([`PreparedGraph::batch_plan`]). Under
-//!   [`BatchPlan::TokenCoalesced`] each request is its own token of one
-//!   stacked multi-token pass; under [`BatchPlan::ConvBatchMajor`] each
+//!   the same walk as [`PreparedGraph::run`]. Under
+//!   [`BatchPlan::LayerMajor`] ([`PreparedGraph::batch_plan`]) each
 //!   request is its own sweep over every conv tile's held weight
-//!   staging, with per-request kernel statistics threaded out of the
-//!   batched kernels. Either way each request is a separate sequence of
-//!   kernel invocations on the shared staged weights — kernel cycle
-//!   counts depend only on geometry and weights, never on activation
-//!   values — so per-request outputs and cycle attribution match the
-//!   sequential run bit for bit. [`BatchPlan::Sequential`] *is* the
-//!   sequential loop;
+//!   staging, and its own tokens in every Linear layer's token stream,
+//!   with per-request kernel statistics threaded out of the batched
+//!   kernels. Each request is a separate sequence of kernel invocations
+//!   on the shared staged weights — kernel cycle counts depend only on
+//!   geometry and weights, never on activation values — so per-request
+//!   outputs and cycle attribution match the sequential run bit for
+//!   bit. Under [`BatchPlan::Sequential`] nothing is shared at all;
 //! * scheduling affects only *wall-clock* quantities, which are
 //!   reported separately ([`InferenceResult::latency`],
 //!   [`InferenceResult::batch_size`]) and carry no simulated meaning.
@@ -95,7 +93,7 @@
 //! {1, 4, 16} × execution tiers, compared request-by-request against
 //! the sequential loop (outputs on every tier, cycles on the
 //! cycle-accurate ones) — plus a conv sweep serving the pruned
-//! ResNet-18 model under [`BatchPlan::ConvBatchMajor`] across the same
+//! ResNet-18 model under [`BatchPlan::LayerMajor`] across the same
 //! grid.
 //!
 //! ## Overload and shutdown
@@ -279,7 +277,7 @@ mod tests {
             .collect()
     }
 
-    /// The crate-level smoke test: a coalescible model served at batch
+    /// The crate-level smoke test: an MLP model served at batch
     /// limit 4 matches the sequential baseline per request, and the
     /// batcher actually coalesced something.
     #[test]
@@ -311,7 +309,7 @@ mod tests {
             assert_eq!(got.output, want.output);
             assert_eq!(got.sim_cycles, Some(want.matmul_compute_cycles));
             assert_eq!(got.batch_size, 4, "8 queued requests over max_batch 4");
-            assert_eq!(got.mode, BatchPlan::TokenCoalesced, "MLP chain coalesces");
+            assert_eq!(got.mode, BatchPlan::LayerMajor, "MLP batches share staging");
         }
         let stats = service.shutdown();
         assert_eq!(stats.submitted, 8);

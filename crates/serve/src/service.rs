@@ -1143,6 +1143,7 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
     };
     match outcome {
         Ok(Ok(runs)) => {
+            let mode = prepared.batch_plan().executed(n);
             for (pending, run) in batch.into_iter().zip(runs) {
                 // One reading per request: the same latency feeds the
                 // result and the per-model histogram (global counter
@@ -1157,7 +1158,7 @@ fn run_batch_isolated(inner: &ServiceInner, batch: Vec<Pending>, injected: Optio
                     output: run.output,
                     sim_cycles: cycle_accurate.then_some(run.matmul_compute_cycles),
                     batch_size: n,
-                    mode: prepared.batch_plan().executed(n),
+                    mode,
                     latency,
                 };
                 pending.fulfill(Ok(result));

@@ -11,6 +11,7 @@ use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{FcGeom, Tensor};
 use nm_integration::{make_exact_nm, random_i8, sparse_conv_fc_graph};
+use nm_models::vit::vit_tiny_sparse_for_tests;
 use nm_models::{mlp_serve_sparse, resnet18_cifar_serve_sparse};
 use nm_nn::graph::Graph;
 use nm_nn::layer::LinearLayer;
@@ -19,14 +20,14 @@ use nm_nn::GraphBuilder;
 use nm_serve::{Service, ServiceConfig};
 use std::sync::Arc;
 
-/// A small conv+fc graph — not a Linear chain, so its batch plan is the
-/// conv-batch-major walk (conv tiles staged once per batch).
+/// A small conv+fc graph: conv tiles stage once per batch through the
+/// layer-major walk.
 fn conv_fc_graph(nm: Nm) -> Arc<Graph> {
     Arc::new(sparse_conv_fc_graph(10, 6, nm, 3))
 }
 
-/// A token-coalescible sparse MLP — the stacked multi-token plan's
-/// subject.
+/// A sparse MLP: each request is one token of the Linear layers' token
+/// stream.
 fn mlp_graph(nm: Nm) -> Arc<Graph> {
     Arc::new(mlp_serve_sparse(&[64, 48, 32], nm, 5).unwrap())
 }
@@ -57,7 +58,7 @@ fn interleaving(counts: &[usize], seed: u64) -> Vec<usize> {
     order
 }
 
-/// The full differential sweep: two models (one coalescible, one not)
+/// The full differential sweep: two models (an MLP and a conv graph)
 /// served concurrently under every worker count / batch limit /
 /// cycle-accurate tier combination, with a different pseudo-random
 /// interleaving per configuration, compared request-by-request against
@@ -234,7 +235,7 @@ fn priority_mixes_preserve_bit_and_cycle_determinism() {
     }
 }
 
-/// The coalesced multi-token path with K-tiling forced (small L1
+/// The MLP's multi-token pass with K-tiling forced (small L1
 /// budget): batched execution through the service must still match the
 /// sequential loop exactly — this is the configuration where weights
 /// genuinely stage once per batch across several K-tiles.
@@ -247,7 +248,7 @@ fn coalesced_k_tiled_mlp_matches_sequential() {
         opts.tier = tier;
         opts.l1_budget = 512; // forces K-tiling of every layer
         let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-        assert_eq!(prepared.batch_plan(), BatchPlan::TokenCoalesced);
+        assert_eq!(prepared.batch_plan(), BatchPlan::LayerMajor);
         let xs = random_inputs(graph.input_shape(), 16, 33);
         let expected: Vec<_> = xs.iter().map(|x| prepared.run(x).unwrap()).collect();
 
@@ -280,7 +281,7 @@ fn coalesced_k_tiled_mlp_matches_sequential() {
 }
 
 /// The native tier through the service: outputs stay bit-identical to
-/// the bulk-tier sequential baseline for both batch plans, but no cycle
+/// the bulk-tier sequential baseline for both graphs, but no cycle
 /// assertions are possible — `sim_cycles` is `None` on every response
 /// because the native tier compiles simulation charging out.
 #[test]
@@ -318,31 +319,39 @@ fn native_tier_service_matches_bulk_outputs() {
 }
 
 /// `run_batch` itself (no service): the batched entry point must equal
-/// per-request `run` calls under both work-sharing plans, and reject
-/// shape mismatches atomically — naming the failing request.
+/// per-request `run` calls on a conv graph, an MLP and a ViT, return
+/// nothing for an empty batch, and reject shape mismatches atomically —
+/// naming the failing request. The ViT is where the Linear layers'
+/// token stream straddles request boundaries: its `[T, C]` tokens of
+/// several requests share one stream, chunked across `host_threads`.
 #[test]
 fn run_batch_matches_individual_runs() {
     let nm = Nm::ONE_OF_EIGHT;
-    for (graph, plan) in [
-        (mlp_graph(nm), BatchPlan::TokenCoalesced),
-        (conv_fc_graph(nm), BatchPlan::ConvBatchMajor),
-    ] {
+    let vit = Arc::new(vit_tiny_sparse_for_tests(nm, 7).unwrap());
+    for (g, graph) in [mlp_graph(nm), conv_fc_graph(nm), vit]
+        .into_iter()
+        .enumerate()
+    {
         let opts = Options::new(Target::SparseIsa);
         let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-        assert_eq!(prepared.batch_plan(), plan);
-        let label = plan.label();
+        assert_eq!(prepared.batch_plan(), BatchPlan::LayerMajor);
+        let label = format!("graph {g}");
         let xs = random_inputs(graph.input_shape(), 5, 77);
         let refs: Vec<&Tensor<i8>> = xs.iter().collect();
         let batched = prepared.run_batch(&refs).unwrap();
         assert_eq!(batched.len(), xs.len());
         for (x, b) in xs.iter().zip(&batched) {
             let solo = prepared.run(x).unwrap();
-            assert_eq!(b.output, solo.output, "plan={label}");
+            assert_eq!(b.output, solo.output, "{label}");
             assert_eq!(
                 b.matmul_compute_cycles, solo.matmul_compute_cycles,
-                "plan={label}"
+                "{label}"
             );
         }
+        assert!(
+            prepared.run_batch(&[]).unwrap().is_empty(),
+            "an empty batch yields no runs"
+        );
         // A wrong-shaped rider poisons the whole batch up front, and
         // the error names which request it was.
         let bad = Tensor::from_vec(&[3], vec![0i8; 3]).unwrap();
@@ -353,16 +362,46 @@ fn run_batch_matches_individual_runs() {
             err.to_string().contains("batch request 5"),
             "error must name the failing request: {err}"
         );
+
+        // Batch sizes around the conv sweep's width, on every tile
+        // thread count; the reference tier keeps to small batches.
+        for (tier, sizes) in [
+            (ExecTier::Bulk, &[1, 3, 8, 9, 17][..]),
+            (ExecTier::Reference, &[1, 3][..]),
+        ] {
+            for threads in [1, 2, 4] {
+                let mut opts = Options::new(Target::SparseIsa);
+                opts.tier = tier;
+                opts.host_threads = threads;
+                let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
+                let max = sizes.iter().copied().max().unwrap();
+                let xs = random_inputs(graph.input_shape(), max, 79);
+                let solo: Vec<_> = xs.iter().map(|x| prepared.run(x).unwrap()).collect();
+                for &b in sizes {
+                    let refs: Vec<&Tensor<i8>> = xs[..b].iter().collect();
+                    let batched = prepared.run_batch(&refs).unwrap();
+                    assert_eq!(batched.len(), b);
+                    for (i, (got, want)) in batched.iter().zip(&solo).enumerate() {
+                        let at = format!("{label} {tier:?} threads={threads} b={b} req {i}");
+                        assert_eq!(got.output, want.output, "output diverged: {at}");
+                        assert_eq!(
+                            got.matmul_compute_cycles, want.matmul_compute_cycles,
+                            "cycles diverged: {at}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
 
-/// Coalescing requires a *chain*, not just whitelisted ops: a graph of
-/// pure Linear nodes that is a DAG (here: two linears both reading the
-/// input node, one of them dead) must take the per-request fallback —
-/// the stacked multi-token sweep threads values sequentially and would
-/// silently compute the wrong function on such a graph.
+/// A graph of pure Linear nodes that is a DAG (here: two linears both
+/// reading the input node, one of them dead) shares staging like any
+/// other matmul graph: the layer-major walk keeps a value table per
+/// request, so each Linear reads its own input and every request still
+/// matches its own sequential run.
 #[test]
-fn linear_dag_is_not_coalesced_but_still_batches_correctly() {
+fn linear_dag_shares_staging_and_batches_correctly() {
     let nm = Nm::ONE_OF_EIGHT;
     let (c, k) = (64, 32);
     let mut w1 = random_i8(k * c, 41);
@@ -377,11 +416,7 @@ fn linear_dag_is_not_coalesced_but_still_batches_correctly() {
     let graph = b.finish(out).unwrap();
     let opts = Options::new(Target::SparseIsa);
     let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-    assert!(
-        matches!(prepared.batch_plan(), BatchPlan::Sequential { .. }),
-        "a non-chain Linear DAG must plan sequential execution, got {:?}",
-        prepared.batch_plan()
-    );
+    assert_eq!(prepared.batch_plan(), BatchPlan::LayerMajor);
     let xs = random_inputs(&[c], 4, 47);
     let refs: Vec<&Tensor<i8>> = xs.iter().collect();
     for (x, run) in xs.iter().zip(prepared.run_batch(&refs).unwrap()) {
@@ -391,7 +426,7 @@ fn linear_dag_is_not_coalesced_but_still_batches_correctly() {
     }
 }
 
-// The conv-batch-major plan at model scale: the pruned ResNet-18
+// The layer-major walk at model scale: the pruned ResNet-18
 // serving model (16 sparse convs, residual Adds, pools, a final FC)
 // served across worker counts × batch limits × both cycle-accurate
 // tiers, every request's output and cycle total compared bit-for-bit
@@ -411,7 +446,7 @@ fn resnet_conv_batch_major_matches_sequential() {
         let mut opts = Options::new(Target::SparseIsa);
         opts.tier = tier;
         let prepared = PreparedGraph::prepare(&graph, &opts).unwrap();
-        assert_eq!(prepared.batch_plan(), BatchPlan::ConvBatchMajor);
+        assert_eq!(prepared.batch_plan(), BatchPlan::LayerMajor);
         let seed = 200 + u64::from(tier == ExecTier::Bulk);
         let xs = random_inputs(graph.input_shape(), per_wave, seed);
         let expected: Vec<_> = xs.iter().map(|x| prepared.run(x).unwrap()).collect();
@@ -446,16 +481,13 @@ fn resnet_conv_batch_major_matches_sequential() {
                         "cycles diverged: workers={workers} max_batch={max_batch} {tier:?}"
                     );
                     match got.mode {
-                        BatchPlan::ConvBatchMajor => assert!(got.batch_size > 1),
+                        BatchPlan::LayerMajor => assert!(got.batch_size > 1),
                         BatchPlan::Sequential { .. } => assert!(
                             got.batch_size <= 1 || max_batch == 1,
                             "sequential mode with a shared batch: workers={workers} \
                              max_batch={max_batch} batch_size={}",
                             got.batch_size
                         ),
-                        BatchPlan::TokenCoalesced => {
-                            panic!("a conv graph cannot token-coalesce")
-                        }
                     }
                 }
                 let stats = service.shutdown();
