@@ -136,6 +136,7 @@ pub struct ModelEnergyRow {
 /// Propagates compilation errors; [`nm_core::Error::Unsupported`] for an
 /// unknown model name.
 pub fn model_energy_rows(seed: u64, model_name: &str) -> nm_core::Result<Vec<ModelEnergyRow>> {
+    use nm_compiler::plan::{conv_tile_stats, fc_tile_stats};
     use nm_compiler::{compile, KernelChoice, Options, Target};
     use nm_isa::{CoreStats, InstrClass};
     use nm_nn::graph::{Graph, OpKind};
@@ -160,17 +161,14 @@ pub fn model_energy_rows(seed: u64, model_name: &str) -> nm_core::Result<Vec<Mod
     ) -> nm_core::Result<Vec<CoreStats>> {
         let cluster = opts.cluster();
         match &graph.node(node).op {
-            OpKind::Conv2d(l) => {
-                let (_, per_core) = conv_tile_compute_with_stats(choice, &l.geom, &cluster)?;
-                Ok(per_core)
-            }
+            OpKind::Conv2d(l) => Ok(conv_tile_stats(choice, &l.geom, &cluster)?.cluster.per_core),
             OpKind::Linear(l) => {
                 let tokens = if graph.node(node).out_shape.len() == 2 {
                     graph.node(node).out_shape[0]
                 } else {
                     1
                 };
-                let (_, mut per_core) = fc_tile_compute_with_stats(choice, &l.geom, &cluster)?;
+                let mut per_core = fc_tile_stats(choice, &l.geom, &cluster)?.cluster.per_core;
                 for s in &mut per_core {
                     s.cycles *= tokens as u64;
                     s.instret *= tokens as u64;
@@ -183,67 +181,6 @@ pub fn model_energy_rows(seed: u64, model_name: &str) -> nm_core::Result<Vec<Mod
             }
             _ => Ok(Vec::new()),
         }
-    }
-
-    // The plan crate exposes cycle-only helpers; re-run the analytic
-    // kernels here to keep the class histograms.
-    fn conv_tile_compute_with_stats(
-        choice: &KernelChoice,
-        geom: &nm_core::ConvGeom,
-        cluster: &Cluster,
-    ) -> nm_core::Result<(u64, Vec<CoreStats>)> {
-        use nm_kernels::conv::dense::{conv_dense_1x2, conv_dense_4x2};
-        use nm_kernels::conv::sparse_isa::conv_sparse_isa;
-        use nm_kernels::conv::sparse_sw::{conv_sparse_sw, SparseConvJob};
-        use nm_kernels::conv::ConvJob;
-        let job = ConvJob {
-            geom: *geom,
-            requant: Requant::IDENTITY,
-            bufs: Default::default(),
-        };
-        let s = match choice {
-            KernelChoice::ConvDense1x2 => conv_dense_1x2(&mut Ctx::Analytic, &job, cluster)?,
-            KernelChoice::ConvDensePulpNn => conv_dense_4x2(&mut Ctx::Analytic, &job, cluster)?,
-            KernelChoice::ConvSparseSw(nm) => conv_sparse_sw(
-                &mut Ctx::Analytic,
-                &SparseConvJob { conv: job, nm: *nm },
-                cluster,
-            )?,
-            KernelChoice::ConvSparseIsa(nm) => conv_sparse_isa(
-                &mut Ctx::Analytic,
-                &SparseConvJob { conv: job, nm: *nm },
-                cluster,
-            )?,
-            _ => return Err(nm_core::Error::Unsupported("fc kernel on conv".into())),
-        };
-        Ok((s.cycles(), s.cluster.per_core.clone()))
-    }
-
-    fn fc_tile_compute_with_stats(
-        choice: &KernelChoice,
-        geom: &FcGeom,
-        cluster: &Cluster,
-    ) -> nm_core::Result<(u64, Vec<CoreStats>)> {
-        let job = FcJob {
-            geom: *geom,
-            requant: Requant::IDENTITY,
-            bufs: Default::default(),
-        };
-        let s = match choice {
-            KernelChoice::FcDense => fc_dense(&mut Ctx::Analytic, &job, cluster)?,
-            KernelChoice::FcSparseSw(nm) => fc_sparse_sw(
-                &mut Ctx::Analytic,
-                &SparseFcJob { fc: job, nm: *nm },
-                cluster,
-            )?,
-            KernelChoice::FcSparseIsa(nm) => fc_sparse_isa(
-                &mut Ctx::Analytic,
-                &SparseFcJob { fc: job, nm: *nm },
-                cluster,
-            )?,
-            _ => return Err(nm_core::Error::Unsupported("conv kernel on fc".into())),
-        };
-        Ok((s.cycles(), s.cluster.per_core.clone()))
     }
 
     let model = EnergyModel::default();

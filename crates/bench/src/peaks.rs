@@ -5,20 +5,11 @@
 //! count, from which the peak follows (the guard tests in `nm-kernels`
 //! pin these to the paper's numbers).
 
+use nm_compiler::plan::{conv_tile_stats, fc_tile_stats};
 use nm_compiler::KernelChoice;
-use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
 use nm_core::{ConvGeom, FcGeom};
 use nm_isa::CostModel;
-use nm_kernels::conv::dense::{conv_dense_1x2, conv_dense_4x2};
-use nm_kernels::conv::sparse_isa::conv_sparse_isa;
-use nm_kernels::conv::sparse_sw::{conv_sparse_sw, SparseConvJob};
-use nm_kernels::conv::ConvJob;
-use nm_kernels::fc::dense::fc_dense;
-use nm_kernels::fc::sparse_isa::fc_sparse_isa;
-use nm_kernels::fc::sparse_sw::{fc_sparse_sw, SparseFcJob};
-use nm_kernels::fc::FcJob;
-use nm_kernels::Ctx;
 use nm_platform::Cluster;
 
 /// One peak row.
@@ -45,27 +36,10 @@ fn conv_instret(choice: &KernelChoice, c: usize) -> u64 {
         1
     };
     let geom = ConvGeom::square(c, k, 2, 1, 1, 0).unwrap();
-    let job = ConvJob {
-        geom,
-        requant: Requant::IDENTITY,
-        bufs: Default::default(),
-    };
-    let stats = match choice {
-        KernelChoice::ConvDense1x2 => conv_dense_1x2(&mut Ctx::Analytic, &job, &cluster),
-        KernelChoice::ConvDensePulpNn => conv_dense_4x2(&mut Ctx::Analytic, &job, &cluster),
-        KernelChoice::ConvSparseSw(nm) => conv_sparse_sw(
-            &mut Ctx::Analytic,
-            &SparseConvJob { conv: job, nm: *nm },
-            &cluster,
-        ),
-        KernelChoice::ConvSparseIsa(nm) => conv_sparse_isa(
-            &mut Ctx::Analytic,
-            &SparseConvJob { conv: job, nm: *nm },
-            &cluster,
-        ),
-        _ => unreachable!(),
-    };
-    stats.unwrap().cluster.total_instret()
+    conv_tile_stats(choice, &geom, &cluster)
+        .unwrap()
+        .cluster
+        .total_instret()
 }
 
 fn fc_instret(choice: &KernelChoice, c: usize) -> u64 {
@@ -76,26 +50,10 @@ fn fc_instret(choice: &KernelChoice, c: usize) -> u64 {
         1
     };
     let geom = FcGeom::new(c, k).unwrap();
-    let job = FcJob {
-        geom,
-        requant: Requant::IDENTITY,
-        bufs: Default::default(),
-    };
-    let stats = match choice {
-        KernelChoice::FcDense => fc_dense(&mut Ctx::Analytic, &job, &cluster),
-        KernelChoice::FcSparseSw(nm) => fc_sparse_sw(
-            &mut Ctx::Analytic,
-            &SparseFcJob { fc: job, nm: *nm },
-            &cluster,
-        ),
-        KernelChoice::FcSparseIsa(nm) => fc_sparse_isa(
-            &mut Ctx::Analytic,
-            &SparseFcJob { fc: job, nm: *nm },
-            &cluster,
-        ),
-        _ => unreachable!(),
-    };
-    stats.unwrap().cluster.total_instret()
+    fc_tile_stats(choice, &geom, &cluster)
+        .unwrap()
+        .cluster
+        .total_instret()
 }
 
 /// Derives the per-chunk instruction count of a kernel by differencing

@@ -35,8 +35,8 @@ pub struct EmulatedRun {
     pub output: Tensor<i8>,
     /// Total emulated compute cycles of the Conv/Linear tiles — must
     /// equal the analytic plan's compute cycles on the reference and
-    /// bulk tiers. On [`nm_kernels::ExecTier::Native`] cycles are not
-    /// simulated and this is `0`.
+    /// bulk tiers. [`nm_kernels::ExecTier::Native`] runs the bulk tier
+    /// with cycles withheld, so this is `0` there.
     pub matmul_compute_cycles: u64,
 }
 
@@ -56,7 +56,8 @@ pub enum BaselineFormat {
 /// simulated cluster. Like the N:M tiles of [`run_emulated`], the
 /// emulation context is selected by [`Options::tier`], so
 /// format-comparison sweeps pay the same (fast) emulation rates on both
-/// sides of the comparison.
+/// sides of the comparison. The returned cycles are `0` on
+/// [`nm_kernels::ExecTier::Native`].
 ///
 /// Baselines are comparison harness paths, not deployment paths: the
 /// whole layer is staged at once (no tiling) and must fit the L1 budget.
@@ -105,7 +106,12 @@ pub fn run_fc_baseline(
     let view = mem.slice(output, geom.k).expect("staged output in range");
     let mut out = vec![0i8; geom.k];
     copy_bytes_to_i8(&mut out, view);
-    Ok((Tensor::from_vec(&[geom.k], out)?, stats.cycles()))
+    let cycles = if opts.tier.is_cycle_accurate() {
+        stats.cycles()
+    } else {
+        0
+    };
+    Ok((Tensor::from_vec(&[geom.k], out)?, cycles))
 }
 
 /// Runs the graph with Conv/Linear layers executed tile-by-tile on the

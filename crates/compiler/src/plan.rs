@@ -6,7 +6,7 @@ use crate::tiling::{
     tile_conv, tile_fc, weight_memory_bits, weight_tile_parts, ConvTiling, FcTiling,
 };
 use nm_core::quant::Requant;
-use nm_core::{ConvGeom, FcGeom, Result};
+use nm_core::{ConvGeom, Error, FcGeom, Result};
 use nm_isa::CostModel;
 use nm_kernels::conv::dense::{conv_dense_1x2, conv_dense_4x2};
 use nm_kernels::conv::sparse_isa::conv_sparse_isa;
@@ -16,7 +16,7 @@ use nm_kernels::fc::dense::fc_dense;
 use nm_kernels::fc::sparse_isa::fc_sparse_isa;
 use nm_kernels::fc::sparse_sw::{fc_sparse_sw, SparseFcJob};
 use nm_kernels::fc::FcJob;
-use nm_kernels::{Ctx, ExecTier};
+use nm_kernels::{Ctx, ExecTier, KernelStats};
 use nm_nn::graph::{Graph, NodeId, OpKind};
 use nm_platform::pipeline::{double_buffered_cycles, TileCost};
 use nm_platform::soc::L1_BYTES;
@@ -42,9 +42,8 @@ pub struct Options {
     /// Execution tier for emulated tiles ([`ExecTier::Bulk`] is the
     /// default). `Reference` charges per instruction, `Bulk` charges
     /// batched blocks (bit- and cycle-exact with `Reference`, several
-    /// times faster), and `Native` runs the same kernel bodies with the
-    /// charging compiled out entirely — outputs stay bit-identical to
-    /// `Bulk`, but cycle/instret statistics are reported as zero.
+    /// times faster), and `Native` is the bulk tier with cycles withheld
+    /// — outputs are `Bulk`'s, and the executor reports zero cycles.
     pub tier: ExecTier,
     /// Host worker threads for the compiled executor's parallel tile
     /// execution ([`crate::prepack::PreparedGraph`]): `0` (the default)
@@ -159,53 +158,67 @@ pub fn fc_tile_specs(geom: &FcGeom, t: &FcTiling) -> Vec<FcTileSpec> {
         .collect()
 }
 
-/// Analytic compute cycles of one conv tile under a kernel choice.
-pub fn conv_tile_compute(choice: &KernelChoice, geom: &ConvGeom, cluster: &Cluster) -> Result<u64> {
+/// Analytic kernel statistics of one conv tile under a kernel choice.
+///
+/// # Errors
+/// [`Error::Unsupported`] for an FC kernel choice; propagates kernel
+/// errors.
+pub fn conv_tile_stats(
+    choice: &KernelChoice,
+    geom: &ConvGeom,
+    cluster: &Cluster,
+) -> Result<KernelStats> {
     let job = ConvJob {
         geom: *geom,
         requant: Requant::IDENTITY,
         bufs: Default::default(),
     };
-    let stats = match choice {
-        KernelChoice::ConvDense1x2 => conv_dense_1x2(&mut Ctx::Analytic, &job, cluster)?,
-        KernelChoice::ConvDensePulpNn => conv_dense_4x2(&mut Ctx::Analytic, &job, cluster)?,
+    match choice {
+        KernelChoice::ConvDense1x2 => conv_dense_1x2(&mut Ctx::Analytic, &job, cluster),
+        KernelChoice::ConvDensePulpNn => conv_dense_4x2(&mut Ctx::Analytic, &job, cluster),
         KernelChoice::ConvSparseSw(nm) => conv_sparse_sw(
             &mut Ctx::Analytic,
             &SparseConvJob { conv: job, nm: *nm },
             cluster,
-        )?,
+        ),
         KernelChoice::ConvSparseIsa(nm) => conv_sparse_isa(
             &mut Ctx::Analytic,
             &SparseConvJob { conv: job, nm: *nm },
             cluster,
-        )?,
-        _ => unreachable!("conv tile with FC kernel"),
-    };
-    Ok(stats.cycles())
+        ),
+        _ => Err(Error::Unsupported("FC kernel on a conv tile".into())),
+    }
 }
 
-/// Analytic compute cycles of one FC tile under a kernel choice.
-pub fn fc_tile_compute(choice: &KernelChoice, geom: &FcGeom, cluster: &Cluster) -> Result<u64> {
+/// Analytic kernel statistics of one FC tile under a kernel choice.
+///
+/// # Errors
+/// [`Error::Unsupported`] for a conv kernel choice; propagates kernel
+/// errors.
+pub fn fc_tile_stats(
+    choice: &KernelChoice,
+    geom: &FcGeom,
+    cluster: &Cluster,
+) -> Result<KernelStats> {
     let job = FcJob {
         geom: *geom,
         requant: Requant::IDENTITY,
         bufs: Default::default(),
     };
-    let stats = match choice {
-        KernelChoice::FcDense => fc_dense(&mut Ctx::Analytic, &job, cluster)?,
+    match choice {
+        KernelChoice::FcDense => fc_dense(&mut Ctx::Analytic, &job, cluster),
         KernelChoice::FcSparseSw(nm) => fc_sparse_sw(
             &mut Ctx::Analytic,
             &SparseFcJob { fc: job, nm: *nm },
             cluster,
-        )?,
+        ),
         KernelChoice::FcSparseIsa(nm) => fc_sparse_isa(
             &mut Ctx::Analytic,
             &SparseFcJob { fc: job, nm: *nm },
             cluster,
-        )?,
-        _ => unreachable!("fc tile with conv kernel"),
-    };
-    Ok(stats.cycles())
+        ),
+        _ => Err(Error::Unsupported("conv kernel on an FC tile".into())),
+    }
 }
 
 /// The plan and cost of one graph node.
@@ -302,7 +315,7 @@ pub fn conv_tile_costs(
     let mut tiles = Vec::with_capacity(specs.len());
     let mut weight_txn = 0;
     for spec in &specs {
-        let compute = conv_tile_compute(choice, &spec.geom, &cluster)?;
+        let compute = conv_tile_stats(choice, &spec.geom, &cluster)?.cycles();
         let mut dma_in = 0;
         if spec.first_k {
             dma_in += opts.costs.dma_cycles(spec.input_bytes);
@@ -365,7 +378,7 @@ pub fn fc_tile_costs(
     let mut tiles = Vec::with_capacity(specs.len());
     let mut weight_txn = 0;
     for spec in &specs {
-        let compute = tokens as u64 * fc_tile_compute(choice, &spec.geom, &cluster)?;
+        let compute = tokens as u64 * fc_tile_stats(choice, &spec.geom, &cluster)?.cycles();
         let (w_cycles, txn) = weight_dma(opts, choice, spec.geom.k, geom.c);
         let mut dma_in = w_cycles;
         weight_txn += txn;

@@ -416,12 +416,14 @@ impl<'g> PreparedGraph<'g> {
             }
         }
         let output = graph.output();
+        // The native tier runs the bulk kernels but withholds cycles.
+        let reported = self.opts.tier.is_cycle_accurate();
         Ok(values
             .into_iter()
             .zip(cycles)
             .map(|(mut v, cycles)| EmulatedRun {
                 output: v[output].take().expect("output computed"),
-                matmul_compute_cycles: cycles,
+                matmul_compute_cycles: if reported { cycles } else { 0 },
             })
             .collect())
     }
@@ -925,8 +927,8 @@ fn pack_tile(
             let nm = choice.nm().expect("sparse choice has a pattern");
             let weights = NmMatrix::from_dense(w_rows, k, row_len, nm, layout)?;
             // The decimation program only exists for the conv kernels'
-            // bulk and native paths; reference-path runs decode per
-            // instruction.
+            // bulk path (which the native tier runs too); reference-path
+            // runs decode per instruction.
             let program = (conv && opts.tier != nm_kernels::ExecTier::Reference)
                 .then(|| DecimProgram::from_matrix(&weights))
                 .transpose()?;

@@ -64,7 +64,6 @@ pub mod core;
 pub mod cost;
 pub mod energy;
 pub mod mem;
-pub mod policy;
 pub mod programs;
 
 pub use crate::core::{Core, CoreStats};
@@ -74,4 +73,3 @@ pub use cost::CostModel;
 pub use energy::EnergyModel;
 pub use mem::{FlatMem, Memory};
 pub use nm_rtl::DecimateMode;
-pub use policy::{ChargePolicy, Charged, Uncharged};

@@ -9,10 +9,10 @@
 
 use super::super::fc::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{blockwise_rows_out, loop_scaffold, u16_indices_below, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::BlockwiseMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -127,11 +127,10 @@ pub fn fc_blockwise(
     for k in 0..geom.k {
         row_start[k + 1] = row_start[k] + job.blocks_per_row[k];
     }
-    // One core's worth of blockwise rows: the single shared kernel body
-    // for the bulk and native tiers. 4-wide block dots from zero-copy
-    // slices of the flat value/index streams, one aggregated accounting
-    // block per core (never built on `Uncharged`).
-    fn core_body<P: ChargePolicy>(
+    // One core's worth of blockwise rows on the bulk tier. 4-wide block
+    // dots from zero-copy slices of the flat value/index streams, one
+    // aggregated accounting block per core.
+    fn core_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &BlockwiseFcJob,
@@ -168,37 +167,28 @@ pub fn fc_blockwise(
             };
             write_out(mem, job.bufs.output + range.start as u32, &outs);
         }
-        let costs = *core.costs();
-        P::charge_block(core, || {
-            let blocks_range = (row_start[range.end] - row_start[range.start]) as u64;
-            let per_channel =
-                loop_scaffold(&costs, 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
-            per_channel.repeat(range.len() as u64).then(
+        let blocks_range = (row_start[range.end] - row_start[range.start]) as u64;
+        let per_channel =
+            loop_scaffold(core.costs(), 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
+        core.charge_block(
+            &per_channel.repeat(range.len() as u64).then(
                 InstrBlock::new()
                     .loads(3)
                     .alu(1)
                     .sdotp(1)
                     .repeat(blocks_range),
-            )
-        });
+            ),
+        );
     }
 
-    let native = ctx.is_native();
     Ok(run_fc(
         "fc-blockwise-1x4".into(),
         &geom,
         cluster,
-        native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => {
-                    return core_body::<Charged>(mem, core, job, &row_start, range)
-                }
-                ExecPath::Native(mem) => {
-                    return core_body::<Uncharged>(mem, core, job, &row_start, range)
-                }
-                _ => {}
+            if let Ctx::MemBulk(mem) = &mut *ctx {
+                return core_body(mem, core, job, &row_start, range);
             }
             for k in range {
                 core.outer_loop_iter();

@@ -8,10 +8,10 @@
 
 use super::super::fc::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{csr_rows_out, loop_scaffold, u16_indices_below, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::CsrMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -115,12 +115,11 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
     for k in 0..geom.k {
         row_start[k + 1] = row_start[k] + job.row_nnz[k];
     }
-    // One core's worth of CSR rows: the single shared kernel body for
-    // the bulk and native tiers. Outputs from zero-copy slices of the
-    // flat value/index streams, one aggregated accounting block per core
-    // (block charging is order-independent, so the variable per-row
-    // non-zero counts sum exactly); never built on `Uncharged`.
-    fn core_body<P: ChargePolicy>(
+    // One core's worth of CSR rows on the bulk tier. Outputs from
+    // zero-copy slices of the flat value/index streams, one aggregated
+    // accounting block per core (block charging is order-independent,
+    // so the variable per-row non-zero counts sum exactly).
+    fn core_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &CsrFcJob,
@@ -157,60 +156,51 @@ pub fn fc_csr(ctx: &mut Ctx<'_>, job: &CsrFcJob, cluster: &Cluster) -> Result<Ke
             };
             write_out(mem, job.bufs.output + range.start as u32, &outs);
         }
-        let costs = *core.costs();
-        P::charge_block(core, || {
-            let nnz_range = (row_start[range.end] - row_start[range.start]) as u64;
-            let per_channel =
-                loop_scaffold(&costs, 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
-            per_channel
+        let nnz_range = (row_start[range.end] - row_start[range.start]) as u64;
+        let per_channel =
+            loop_scaffold(core.costs(), 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
+        core.charge_block(
+            &per_channel
                 .repeat(range.len() as u64)
-                .then(InstrBlock::new().loads(3).mac(1).repeat(nnz_range))
-        });
+                .then(InstrBlock::new().loads(3).mac(1).repeat(nnz_range)),
+        );
     }
 
-    let native = ctx.is_native();
-    Ok(run_fc(
-        "fc-csr".into(),
-        &geom,
-        cluster,
-        native,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, &row_start, range),
-                ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, &row_start, range),
-                _ => {
-                    for k in range {
-                        core.outer_loop_iter();
-                        core.alu_n(3);
-                        core.hwloop_setup();
-                        let nnz = job.row_nnz[k];
-                        if let Some(mem) = ctx.mem() {
-                            let mut acc = 0i32;
-                            for i in 0..nnz {
-                                let flat = row_start[k] + i;
-                                let lo = core.lb(mem, job.bufs.col_idx + (2 * flat) as u32) as u8;
-                                let hi = mem.load_u8(job.bufs.col_idx + (2 * flat + 1) as u32);
-                                let col = u32::from(lo) | (u32::from(hi) << 8);
-                                let a = core.lb(mem, job.bufs.input + col);
-                                let w = core.lb(mem, job.bufs.values + flat as u32);
-                                acc = core.mac(i32::from(w), i32::from(a), acc);
-                            }
-                            core.alu_n(EPILOGUE_ALU);
-                            let out = job.fc.requant.apply(acc);
-                            core.sb(mem, job.bufs.output + k as u32, out);
-                        } else {
-                            core.charge(InstrClass::Load, nnz as u64 * 3);
-                            core.charge(InstrClass::Mac, nnz as u64);
-                            core.add_macs(nnz as u64);
-                            core.charge(InstrClass::Alu, EPILOGUE_ALU);
-                            core.charge(InstrClass::Store, 1);
+    Ok(run_fc("fc-csr".into(), &geom, cluster, |core_id, core| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        match ctx {
+            Ctx::MemBulk(mem) => core_body(mem, core, job, &row_start, range),
+            _ => {
+                for k in range {
+                    core.outer_loop_iter();
+                    core.alu_n(3);
+                    core.hwloop_setup();
+                    let nnz = job.row_nnz[k];
+                    if let Some(mem) = ctx.mem() {
+                        let mut acc = 0i32;
+                        for i in 0..nnz {
+                            let flat = row_start[k] + i;
+                            let lo = core.lb(mem, job.bufs.col_idx + (2 * flat) as u32) as u8;
+                            let hi = mem.load_u8(job.bufs.col_idx + (2 * flat + 1) as u32);
+                            let col = u32::from(lo) | (u32::from(hi) << 8);
+                            let a = core.lb(mem, job.bufs.input + col);
+                            let w = core.lb(mem, job.bufs.values + flat as u32);
+                            acc = core.mac(i32::from(w), i32::from(a), acc);
                         }
+                        core.alu_n(EPILOGUE_ALU);
+                        let out = job.fc.requant.apply(acc);
+                        core.sb(mem, job.bufs.output + k as u32, out);
+                    } else {
+                        core.charge(InstrClass::Load, nnz as u64 * 3);
+                        core.charge(InstrClass::Mac, nnz as u64);
+                        core.add_macs(nnz as u64);
+                        core.charge(InstrClass::Alu, EPILOGUE_ALU);
+                        core.charge(InstrClass::Store, 1);
                     }
                 }
             }
-        },
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -11,10 +11,10 @@
 
 use super::super::fc::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{dcsr_gather_dot, loop_scaffold, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::DcsrMatrix;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -145,18 +145,12 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
             geom.k
         )));
     }
-    // One core's worth of dCSR rows: the single shared kernel body for
-    // the bulk and native tiers. Each row's nibble stream decodes
-    // host-side from a zero-copy slice of its delta segment; the per-row
-    // metadata already carries the exact load/ALU/branch mix, so the
-    // whole range charges as one aggregated block (never built on
-    // `Uncharged`).
-    fn core_body<P: ChargePolicy>(
-        mem: &mut Scratchpad,
-        core: &mut Core,
-        job: &DcsrFcJob,
-        range: Range<usize>,
-    ) {
+    // One core's worth of dCSR rows on the bulk tier. Each row's nibble
+    // stream decodes host-side from a zero-copy slice of its delta
+    // segment; the per-row metadata already carries the exact
+    // load/ALU/branch mix, so the whole range charges as one aggregated
+    // block.
+    fn core_body(mem: &mut Scratchpad, core: &mut Core, job: &DcsrFcJob, range: Range<usize>) {
         let (mut nnz_t, mut esc_t, mut stream_bytes_t) = (0u64, 0u64, 0u64);
         {
             // As in the CSR/blockwise arms, the activation window
@@ -192,11 +186,10 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
                 .collect();
             write_out(mem, job.bufs.output + range.start as u32, &outs);
         }
-        let costs = *core.costs();
-        P::charge_block(core, || {
-            let per_channel =
-                loop_scaffold(&costs, 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
-            per_channel.repeat(range.len() as u64).then(
+        let per_channel =
+            loop_scaffold(core.costs(), 3).then(InstrBlock::new().alu(EPILOGUE_ALU).stores(1));
+        core.charge_block(
+            &per_channel.repeat(range.len() as u64).then(
                 InstrBlock::new()
                     .loads(stream_bytes_t) // stream byte fetches
                     .alu(3 * nnz_t + 5 * esc_t) // extracts + col accumulate
@@ -204,72 +197,62 @@ pub fn fc_dcsr(ctx: &mut Ctx<'_>, job: &DcsrFcJob, cluster: &Cluster) -> Result<
                     .branches_taken(esc_t) // escape paths
                     .loads(2 * nnz_t) // activation + weight
                     .mac(nnz_t),
-            )
-        });
+            ),
+        );
     }
 
-    let native = ctx.is_native();
-    Ok(run_fc(
-        "fc-dcsr".into(),
-        &geom,
-        cluster,
-        native,
-        |core_id, core| {
-            let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => return core_body::<Charged>(mem, core, job, range),
-                ExecPath::Native(mem) => return core_body::<Uncharged>(mem, core, job, range),
-                _ => {}
-            }
-            for k in range {
-                core.outer_loop_iter();
-                core.alu_n(3);
-                core.hwloop_setup();
-                let nnz = job.row_nnz[k];
-                let esc = job.row_escapes[k];
-                if let Some(mem) = ctx.mem() {
-                    let mut stream =
-                        NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
-                    let mut col: i64 = -1;
-                    let mut acc = 0i32;
-                    for i in 0..nnz {
-                        core.alu_n(2); // nibble extract (shift + mask)
-                        let field = stream.next(core, mem);
-                        let d = if field == 0 {
-                            core.branch(true); // escape path
-                            core.alu_n(5); // two more extracts + combine
-                            let lo = stream.next(core, mem);
-                            let hi = stream.next(core, mem);
-                            16 + i64::from(lo) + (i64::from(hi) << 4)
-                        } else {
-                            core.branch(false);
-                            i64::from(field)
-                        };
-                        core.alu(); // col += d
-                        col += d;
-                        let a = core.lb(mem, job.bufs.input + col as u32);
-                        let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
-                        acc = core.mac(i32::from(w), i32::from(a), acc);
-                    }
-                    core.alu_n(EPILOGUE_ALU);
-                    let out = job.fc.requant.apply(acc);
-                    core.sb(mem, job.bufs.output + k as u32, out);
-                } else {
-                    let nibbles = nnz + 2 * esc;
-                    core.charge(InstrClass::Load, nibbles.div_ceil(2) as u64); // stream bytes
-                    core.charge(InstrClass::Alu, (3 * nnz + 5 * esc) as u64);
-                    for i in 0..nnz {
-                        core.branch(i < esc); // esc taken branches, rest not taken
-                    }
-                    core.charge(InstrClass::Load, 2 * nnz as u64); // activation + weight
-                    core.charge(InstrClass::Mac, nnz as u64);
-                    core.add_macs(nnz as u64);
-                    core.charge(InstrClass::Alu, EPILOGUE_ALU);
-                    core.charge(InstrClass::Store, 1);
+    Ok(run_fc("fc-dcsr".into(), &geom, cluster, |core_id, core| {
+        let range = chunk_range(geom.k, cluster.n_cores(), core_id);
+        if let Ctx::MemBulk(mem) = &mut *ctx {
+            return core_body(mem, core, job, range);
+        }
+        for k in range {
+            core.outer_loop_iter();
+            core.alu_n(3);
+            core.hwloop_setup();
+            let nnz = job.row_nnz[k];
+            let esc = job.row_escapes[k];
+            if let Some(mem) = ctx.mem() {
+                let mut stream = NibbleStream::new(job.bufs.deltas + job.delta_starts[k] as u32);
+                let mut col: i64 = -1;
+                let mut acc = 0i32;
+                for i in 0..nnz {
+                    core.alu_n(2); // nibble extract (shift + mask)
+                    let field = stream.next(core, mem);
+                    let d = if field == 0 {
+                        core.branch(true); // escape path
+                        core.alu_n(5); // two more extracts + combine
+                        let lo = stream.next(core, mem);
+                        let hi = stream.next(core, mem);
+                        16 + i64::from(lo) + (i64::from(hi) << 4)
+                    } else {
+                        core.branch(false);
+                        i64::from(field)
+                    };
+                    core.alu(); // col += d
+                    col += d;
+                    let a = core.lb(mem, job.bufs.input + col as u32);
+                    let w = core.lb(mem, job.bufs.values + (job.value_starts[k] + i) as u32);
+                    acc = core.mac(i32::from(w), i32::from(a), acc);
                 }
+                core.alu_n(EPILOGUE_ALU);
+                let out = job.fc.requant.apply(acc);
+                core.sb(mem, job.bufs.output + k as u32, out);
+            } else {
+                let nibbles = nnz + 2 * esc;
+                core.charge(InstrClass::Load, nibbles.div_ceil(2) as u64); // stream bytes
+                core.charge(InstrClass::Alu, (3 * nnz + 5 * esc) as u64);
+                for i in 0..nnz {
+                    core.branch(i < esc); // esc taken branches, rest not taken
+                }
+                core.charge(InstrClass::Load, 2 * nnz as u64); // activation + weight
+                core.charge(InstrClass::Mac, nnz as u64);
+                core.add_macs(nnz as u64);
+                core.charge(InstrClass::Alu, EPILOGUE_ALU);
+                core.charge(InstrClass::Store, 1);
             }
-        },
-    ))
+        }
+    }))
 }
 
 #[cfg(test)]

@@ -3,9 +3,9 @@
 
 use super::{drive, drive_conv_batch, BatchInner, ConvBatch, ConvBatchRun, ConvJob, EPILOGUE_ALU};
 use crate::bulk::dense_dot;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{Cluster, Scratchpad};
 
 /// The 1×2 kernel's channel loop over one position pair, shared by the
@@ -175,21 +175,18 @@ pub(crate) fn channel_1xn(
     tail: usize,
     charge: bool,
 ) {
-    match ctx.path() {
-        ExecPath::Bulk(mem) => channel_1xn_body::<Charged>(
+    match ctx {
+        Ctx::MemBulk(mem) => channel_1xn_body(
             mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, charge,
         ),
-        ExecPath::Native(mem) => channel_1xn_body::<Uncharged>(
-            mem, core, job, pos, n_patches, buf, k, wrow, chunks, tail, false,
-        ),
-        path => channel_1xn_slow(path, core, job, pos, n_patches, buf, k, wrow, chunks, tail),
+        slow => channel_1xn_slow(slow, core, job, pos, n_patches, buf, k, wrow, chunks, tail),
     }
 }
 
-/// The shared 1×N bulk/native kernel body: compute from zero-copy slices,
-/// accounting via the charge policy (compiled out on [`Uncharged`]).
+/// The 1×N bulk kernel body: compute from zero-copy slices, then one
+/// accounting block (skipped when `charge` is false).
 #[allow(clippy::too_many_arguments)]
-fn channel_1xn_body<P: ChargePolicy>(
+fn channel_1xn_body(
     mem: &mut Scratchpad,
     core: &mut Core,
     job: &ConvJob,
@@ -218,21 +215,23 @@ fn channel_1xn_body<P: ChargePolicy>(
     for (p, &out) in outs.iter().enumerate().take(n_patches) {
         mem.store_i8(job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
     }
-    P::charge_block_if(core, charge, || {
+    if charge {
         let per_chunk = InstrBlock::new().loads(1 + np).sdotp(np);
         let per_tail = InstrBlock::new().loads(1 + np).mac(np);
         let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(np);
-        per_chunk
-            .repeat(chunks as u64)
-            .then(per_tail.repeat(tail as u64))
-            .then(epilogue)
-    });
+        core.charge_block(
+            &per_chunk
+                .repeat(chunks as u64)
+                .then(per_tail.repeat(tail as u64))
+                .then(epilogue),
+        );
+    }
 }
 
 /// The reference/analytic arms of [`channel_1xn`].
 #[allow(clippy::too_many_arguments)]
 fn channel_1xn_slow(
-    path: ExecPath<'_>,
+    ctx: &mut Ctx<'_>,
     core: &mut Core,
     job: &ConvJob,
     pos: usize,
@@ -246,9 +245,10 @@ fn channel_1xn_slow(
     let geom = &job.geom;
     let plen = geom.patch_len();
     let np = n_patches as u64;
-    match path {
-        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by channel_1xn_body"),
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(_) => unreachable!("handled by channel_1xn_body"),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             let mut acc = [0i32; 2];
             for j in 0..chunks {
                 let w = core.lw(mem, wrow + (4 * j) as u32);
@@ -271,7 +271,7 @@ fn channel_1xn_slow(
                 core.sb(mem, job.bufs.output + ((pos + p) * geom.k + k) as u32, out);
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Load, chunks as u64 * (1 + np));
             core.charge(InstrClass::SimdDotp, chunks as u64 * np);
             core.charge(InstrClass::Load, tail as u64 * (1 + np));
@@ -298,21 +298,17 @@ fn quad_channels(
     tail: usize,
     charge: bool,
 ) {
-    match ctx.path() {
-        ExecPath::Bulk(mem) => quad_channels_body::<Charged>(
+    match ctx {
+        Ctx::MemBulk(mem) => quad_channels_body(
             mem, core, job, pos, n_patches, buf, k0, chunks, tail, charge,
         ),
-        ExecPath::Native(mem) => quad_channels_body::<Uncharged>(
-            mem, core, job, pos, n_patches, buf, k0, chunks, tail, false,
-        ),
-        path => quad_channels_slow(path, core, job, pos, n_patches, buf, k0, chunks, tail),
+        slow => quad_channels_slow(slow, core, job, pos, n_patches, buf, k0, chunks, tail),
     }
 }
 
-/// The shared 4×N bulk/native kernel body (charge policy as in
-/// [`channel_1xn_body`]).
+/// The 4×N bulk kernel body (`charge` as in [`channel_1xn_body`]).
 #[allow(clippy::too_many_arguments)]
-fn quad_channels_body<P: ChargePolicy>(
+fn quad_channels_body(
     mem: &mut Scratchpad,
     core: &mut Core,
     job: &ConvJob,
@@ -347,21 +343,23 @@ fn quad_channels_body<P: ChargePolicy>(
     for (p, out) in outs.iter().enumerate().take(n_patches) {
         crate::bulk::write_out(mem, job.bufs.output + ((pos + p) * geom.k + k0) as u32, out);
     }
-    P::charge_block_if(core, charge, || {
+    if charge {
         let per_chunk = InstrBlock::new().loads(4 + np).sdotp(4 * np);
         let per_tail = InstrBlock::new().loads(4 + np).mac(4 * np);
         let epilogue = InstrBlock::new().alu(EPILOGUE_ALU).stores(1).repeat(4 * np);
-        per_chunk
-            .repeat(chunks as u64)
-            .then(per_tail.repeat(tail as u64))
-            .then(epilogue)
-    });
+        core.charge_block(
+            &per_chunk
+                .repeat(chunks as u64)
+                .then(per_tail.repeat(tail as u64))
+                .then(epilogue),
+        );
+    }
 }
 
 /// The reference/analytic arms of [`quad_channels`].
 #[allow(clippy::too_many_arguments)]
 fn quad_channels_slow(
-    path: ExecPath<'_>,
+    ctx: &mut Ctx<'_>,
     core: &mut Core,
     job: &ConvJob,
     pos: usize,
@@ -374,9 +372,10 @@ fn quad_channels_slow(
     let geom = &job.geom;
     let plen = geom.patch_len();
     let np = n_patches as u64;
-    match path {
-        ExecPath::Bulk(_) | ExecPath::Native(_) => unreachable!("handled by quad_channels_body"),
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(_) => unreachable!("handled by quad_channels_body"),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             let mut acc = [[0i32; 2]; 4];
             for j in 0..chunks {
                 let mut w = [0u32; 4];
@@ -415,7 +414,7 @@ fn quad_channels_slow(
                 }
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Load, chunks as u64 * (4 + np));
             core.charge(InstrClass::SimdDotp, chunks as u64 * 4 * np);
             core.charge(InstrClass::Load, tail as u64 * (4 + np));

@@ -26,7 +26,7 @@ pub mod sparse_sw;
 use crate::bulk::decim_table;
 use crate::im2col::{im2col_patches, Im2colCharges, PatchState};
 use crate::layout::{copy_i8_to_bytes, ConvBufs};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::{NmMatrix, OffsetLayout};
 use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
@@ -201,17 +201,14 @@ where
 /// parity with the reference at none of the intermediate traffic.
 ///
 /// `charge` selects whether cycle accounting runs at all. With it false
-/// — legal **only on the bulk and native paths**, where charging is a
-/// closed-form side channel — the drive performs the data movement and
-/// output computation but skips every [`Core`] charge and [`InstrBlock`]
+/// — legal **only on the bulk path**, where charging is a closed-form
+/// side channel — the drive performs the data movement and output
+/// computation but skips every [`Core`] charge and [`InstrBlock`]
 /// construction, and the returned statistics are meaningless. Batch-major
 /// sweeps use this for requests after the first: kernel charging depends
 /// only on geometry and weights, so request 0's statistics are reused
-/// verbatim (see [`drive_conv_batch`]). On the native path
-/// ([`Ctx::MemNative`]) `charge` is forced off — statistics are undefined
-/// on that tier and the returned stats are all-zero. On the reference
-/// path charging is welded to the per-instruction execution and `charge`
-/// must be true.
+/// verbatim (see [`drive_conv_batch`]). On the reference path charging
+/// is welded to the per-instruction execution and `charge` must be true.
 pub(crate) fn drive_conv<F>(
     name: String,
     ctx: &mut Ctx<'_>,
@@ -224,11 +221,9 @@ pub(crate) fn drive_conv<F>(
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
 {
-    let native = ctx.is_native();
-    let charge = charge && !native;
     debug_assert!(
-        charge || matches!(ctx, Ctx::MemBulk(_) | Ctx::MemNative(_)),
-        "uncharged drives are a bulk/native-path-only shortcut"
+        charge || matches!(ctx, Ctx::MemBulk(_)),
+        "uncharged drives are a bulk-path-only shortcut"
     );
     let geom = &job.geom;
     let n_pos = geom.oy() * geom.ox();
@@ -248,7 +243,7 @@ where
         let mut pos = range.start;
         while pos < range.end {
             let n_patches = (range.end - pos).min(2);
-            if let ExecPath::Bulk(mem) | ExecPath::Native(mem) = ctx.path() {
+            if let Ctx::MemBulk(mem) = &mut *ctx {
                 if charge {
                     patches.fill(&mut core, &mut charges, geom, &scaffold, pos, n_patches);
                 } else {
@@ -265,19 +260,14 @@ where
             channel_loop(&mut core, ctx, pos, n_patches, buf, charge);
             pos += n_patches;
         }
-        if let ExecPath::Bulk(mem) | ExecPath::Native(mem) = ctx.path() {
+        if let Ctx::MemBulk(mem) = &mut *ctx {
             patches.finish(mem, geom);
         }
         per_core.push(core.stats());
     }
-    let barrier = if native {
-        0
-    } else {
-        cluster.costs().barrier_cycles
-    };
     KernelStats {
         name,
-        cluster: ClusterStats::from_cores(per_core, barrier),
+        cluster: ClusterStats::from_cores(per_core, cluster.costs().barrier_cycles),
         dense_macs: geom.macs() as u64,
     }
 }
@@ -366,8 +356,9 @@ pub(crate) enum BatchInner<'a> {
 /// per-request uncharged drives ([`drive_conv`] with `charge == false`).
 ///
 /// # Errors
-/// [`Error::ShapeMismatch`] if any request's input length disagrees with
-/// the tile geometry.
+/// [`Error::ShapeMismatch`] if the batch is empty (request 0 must be the
+/// staged input) or any request's input length disagrees with the tile
+/// geometry.
 pub(crate) fn drive_conv_batch<F>(
     name: &str,
     ctx: &mut Ctx<'_>,
@@ -380,6 +371,11 @@ pub(crate) fn drive_conv_batch<F>(
 where
     F: FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool),
 {
+    if batch.inputs.is_empty() {
+        return Err(Error::ShapeMismatch(
+            "empty batch: request 0 must be the staged tile input".into(),
+        ));
+    }
     let in_elems = job.geom.input_elems();
     let out_elems = job.geom.output_elems();
     for (r, input) in batch.inputs.iter().enumerate() {
@@ -420,7 +416,7 @@ where
     // SWEEP_MIN live requests cost less through the per-request
     // fallback loop below).
     let mut tail = &batch.inputs[1..];
-    if let Ctx::MemBulk(mem) | Ctx::MemNative(mem) = &mut *ctx {
+    if let Ctx::MemBulk(mem) = &mut *ctx {
         if let Some(inner) = &inner {
             let n = tail.len();
             let t = if n < crate::bulk::SWEEP_MIN {
@@ -481,7 +477,7 @@ where
                 true,
                 &mut channel_loop,
             )),
-            Ctx::MemBulk(_) | Ctx::MemNative(_) => {
+            Ctx::MemBulk(_) => {
                 drive_conv(
                     name.to_string(),
                     ctx,
@@ -623,7 +619,7 @@ mod tests {
         type Stage<'w> = Box<dyn Fn(&mut Scratchpad, &[i8]) -> ConvBufs + 'w>;
         type RunOne<'w> = Box<dyn Fn(&mut Ctx<'_>, &ConvBufs) -> KernelStats + 'w>;
         type RunBatch<'w> =
-            Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &ConvBatch<'_>) -> ConvBatchRun + 'w>;
+            Box<dyn Fn(&mut Ctx<'_>, &ConvBufs, &ConvBatch<'_>) -> Result<ConvBatchRun> + 'w>;
         let dense_job = move |bufs: &ConvBufs| ConvJob {
             geom,
             requant: Requant::for_dot_len(geom.patch_len()),
@@ -645,7 +641,7 @@ mod tests {
                 }),
                 Box::new(move |ctx, bufs| conv_dense_1x2(ctx, &dense_job(bufs), &cluster).unwrap()),
                 Box::new(move |ctx, bufs, batch| {
-                    conv_dense_1x2_batch(ctx, &dense_job(bufs), &cluster, batch).unwrap()
+                    conv_dense_1x2_batch(ctx, &dense_job(bufs), &cluster, batch)
                 }),
             ),
             (
@@ -655,7 +651,7 @@ mod tests {
                 }),
                 Box::new(move |ctx, bufs| conv_dense_4x2(ctx, &dense_job(bufs), &cluster).unwrap()),
                 Box::new(move |ctx, bufs, batch| {
-                    conv_dense_4x2_batch(ctx, &dense_job(bufs), &cluster, batch).unwrap()
+                    conv_dense_4x2_batch(ctx, &dense_job(bufs), &cluster, batch)
                 }),
             ),
             (
@@ -668,7 +664,6 @@ mod tests {
                 }),
                 Box::new(move |ctx, bufs, batch| {
                     conv_sparse_sw_prepared_batch(ctx, &sparse_job(bufs), &cluster, None, batch)
-                        .unwrap()
                 }),
             ),
             (
@@ -681,17 +676,28 @@ mod tests {
                 }),
                 Box::new(move |ctx, bufs, batch| {
                     conv_sparse_isa_prepared_batch(ctx, &sparse_job(bufs), &cluster, None, batch)
-                        .unwrap()
                 }),
             ),
         ];
         for (label, stage, run_one, run_batch) in &families {
-            for path in ["reference", "bulk", "native", "analytic"] {
+            // Request 0 must be the staged input, so an empty batch is
+            // rejected before any work.
+            let mut mem = Scratchpad::new("l1", 256 * 1024);
+            let bufs = stage(&mut mem, &inputs[0]);
+            let empty = run_batch(
+                &mut Ctx::MemBulk(&mut mem),
+                &bufs,
+                &ConvBatch { inputs: &[] },
+            );
+            assert!(
+                matches!(empty, Err(Error::ShapeMismatch(_))),
+                "{label} empty batch"
+            );
+            for path in ["reference", "bulk", "analytic"] {
                 fn mk<'m>(path: &str, mem: &'m mut Scratchpad) -> Ctx<'m> {
                     match path {
                         "reference" => Ctx::Mem(mem),
                         "bulk" => Ctx::MemBulk(mem),
-                        "native" => Ctx::MemNative(mem),
                         _ => Ctx::Analytic,
                     }
                 }
@@ -716,7 +722,7 @@ mod tests {
                     let bufs = stage(&mut mem, &inputs[0]);
                     let mut ctx = mk(path, &mut mem);
                     let batch = ConvBatch { inputs: &refs[..b] };
-                    let run = run_batch(&mut ctx, &bufs, &batch);
+                    let run = run_batch(&mut ctx, &bufs, &batch).unwrap();
                     assert_eq!(
                         run.stats,
                         seq_stats[..b],

@@ -21,13 +21,11 @@ use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
 };
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::Result;
-use nm_isa::{
-    ChargePolicy, Charged, Core, DecimateMode, InstrBlock, InstrClass, Memory, Uncharged,
-};
+use nm_isa::{Core, DecimateMode, InstrBlock, InstrClass, Memory};
 use nm_platform::{Cluster, Scratchpad};
 use std::borrow::Cow;
 
@@ -118,7 +116,7 @@ pub fn conv_sparse_isa_prepared_batch(
 /// (entry `2b` carries block `b`): borrowed from a prepared program when
 /// one is passed, else decoded from the staged offsets — reused by every
 /// output position pair (and, batch-major, by every request). `None` off
-/// the bulk/native paths.
+/// the bulk path.
 fn duplicated_table<'p>(
     ctx: &mut Ctx<'_>,
     job: &SparseConvJob,
@@ -127,8 +125,8 @@ fn duplicated_table<'p>(
 ) -> (Option<Cow<'p, [u32]>>, bool) {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
-    match ctx.path() {
-        ExecPath::Bulk(mem) | ExecPath::Native(mem) => match program {
+    match ctx {
+        Ctx::MemBulk(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -163,12 +161,12 @@ fn isa_channel_loop<'a>(
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
     let mode = decimate_mode(job.nm);
-    let mut outs = Vec::new(); // reused per pair by the bulk/native arm
+    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf, charge| {
-        // The shared bulk/native pair body (charge policy compiled out on
-        // the native instantiation).
+        // The bulk pair body: compute through the decoded table, then one
+        // accounting block (skipped when `charge` is false).
         #[allow(clippy::too_many_arguments)]
-        fn pair_body<P: ChargePolicy>(
+        fn pair_body(
             mem: &mut Scratchpad,
             core: &mut Core,
             job: &SparseConvJob,
@@ -181,25 +179,23 @@ fn isa_channel_loop<'a>(
             charge: bool,
         ) {
             let nz = job.nz_per_channel();
-            let table = table.expect("table built for the bulk/native path");
+            let table = table.expect("table built for the bulk path");
             conv_pair_outputs(
                 mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
             );
-            let costs = *core.costs();
-            P::charge_block_if(core, charge, || {
+            if charge {
                 let (chunks, tail) = (nz / 4, nz % 4);
                 let np = n_patches as u64;
-                loop_scaffold(&costs, 3)
-                    .then(channel_block(chunks, tail, np))
-                    .repeat(job.conv.geom.k as u64)
-            });
+                core.charge_block(
+                    &loop_scaffold(core.costs(), 3)
+                        .then(channel_block(chunks, tail, np))
+                        .repeat(job.conv.geom.k as u64),
+                );
+            }
         }
-        match ctx.path() {
-            ExecPath::Bulk(mem) => pair_body::<Charged>(
+        match ctx {
+            Ctx::MemBulk(mem) => pair_body(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
-            ),
-            ExecPath::Native(mem) => pair_body::<Uncharged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
             ),
             _ => {
                 for k in 0..geom.k {
@@ -266,10 +262,10 @@ pub(crate) fn channel_sparse_isa(
     let entries_per_word = job.nm.offsets_per_word(); // 8 (4-bit) or 16 (2-bit)
     let np = n_patches as u64;
 
-    // The shared bulk/native channel body (charge policy as in the pair
-    // body above).
+    // The bulk channel body: outputs from zero-copy slices, one
+    // accounting block for the channel.
     #[allow(clippy::too_many_arguments)]
-    fn channel_body<P: ChargePolicy>(
+    fn channel_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &SparseConvJob,
@@ -308,17 +304,13 @@ pub(crate) fn channel_sparse_isa(
         for (p, &out) in outs.iter().enumerate().take(n_patches) {
             mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
         }
-        P::charge_block(core, || channel_block(nz / 4, nz % 4, n_patches as u64));
+        core.charge_block(&channel_block(nz / 4, nz % 4, n_patches as u64));
     }
 
-    match ctx.path() {
-        ExecPath::Bulk(mem) => {
-            channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        ExecPath::Native(mem) => {
-            channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(mem) => channel_body(mem, core, job, pos, n_patches, buf, k, wrow, seg),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             core.xdecimate_clear();
             let vrow = wrow;
             let mut acc = [0i32; 2];
@@ -367,7 +359,7 @@ pub(crate) fn channel_sparse_isa(
                 );
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Xfu, 1); // xDecimate.clear
             core.charge(InstrClass::Load, chunks as u64 * 2); // offsets word + weight word
             core.charge(InstrClass::Xfu, chunks as u64 * 8);

@@ -22,11 +22,11 @@ use crate::bulk::{
     conv_pair_outputs, decim_table, loop_scaffold, nm_gather_dot, offsets_len, table_below,
 };
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{Cluster, Scratchpad};
 use std::borrow::Cow;
 
@@ -138,7 +138,7 @@ pub fn conv_sparse_sw_prepared_batch(
     )
 }
 
-/// The bulk/native path's decimation table: borrowed from a prepared
+/// The bulk path's decimation table: borrowed from a prepared
 /// program when one is passed, else decoded from the staged offsets —
 /// each table entry is reused by every output position pair (and,
 /// batch-major, by every request). `None` off those paths.
@@ -150,8 +150,8 @@ fn plain_table<'p>(
 ) -> (Option<Cow<'p, [u32]>>, bool) {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
-    match ctx.path() {
-        ExecPath::Bulk(mem) | ExecPath::Native(mem) => match program {
+    match ctx {
+        Ctx::MemBulk(mem) => match program {
             Some(p) => (Some(Cow::Borrowed(p.table())), p.in_range()),
             None => {
                 let offs = mem
@@ -185,13 +185,12 @@ fn sw_channel_loop<'a>(
 ) -> impl FnMut(&mut Core, &mut Ctx<'_>, usize, usize, u32, bool) + 'a {
     let geom = job.conv.geom;
     let nz = job.nz_per_channel();
-    let mut outs = Vec::new(); // reused per pair by the bulk/native arm
+    let mut outs = Vec::new(); // reused per pair by the bulk arm
     move |core, ctx, pos, n_patches, buf, charge| {
-        // The shared bulk/native pair body: compute through the decoded
-        // table, accounting via the charge policy (compiled out on the
-        // native instantiation).
+        // The bulk pair body: compute through the decoded table, then one
+        // accounting block (skipped when `charge` is false).
         #[allow(clippy::too_many_arguments)]
-        fn pair_body<P: ChargePolicy>(
+        fn pair_body(
             mem: &mut Scratchpad,
             core: &mut Core,
             job: &SparseConvJob,
@@ -204,26 +203,24 @@ fn sw_channel_loop<'a>(
             charge: bool,
         ) {
             let nz = job.nz_per_channel();
-            let table = table.expect("table built for the bulk/native path");
+            let table = table.expect("table built for the bulk path");
             conv_pair_outputs(
                 mem, &job.conv, nz, table, in_range, pos, n_patches, buf, outs,
             );
-            let costs = *core.costs();
-            P::charge_block_if(core, charge, || {
+            if charge {
                 let bits = job.nm.offset_bits();
                 let (chunks, tail) = (nz / 4, nz % 4);
                 let np = n_patches as u64;
-                loop_scaffold(&costs, 3)
-                    .then(channel_block(bits, chunks, tail, np))
-                    .repeat(job.conv.geom.k as u64)
-            });
+                core.charge_block(
+                    &loop_scaffold(core.costs(), 3)
+                        .then(channel_block(bits, chunks, tail, np))
+                        .repeat(job.conv.geom.k as u64),
+                );
+            }
         }
-        match ctx.path() {
-            ExecPath::Bulk(mem) => pair_body::<Charged>(
+        match ctx {
+            Ctx::MemBulk(mem) => pair_body(
                 mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, charge,
-            ),
-            ExecPath::Native(mem) => pair_body::<Uncharged>(
-                mem, core, job, table, in_range, pos, n_patches, buf, &mut outs, false,
             ),
             _ => {
                 for k in 0..geom.k {
@@ -284,10 +281,10 @@ pub(crate) fn channel_sparse_sw(
     let (chunks, tail) = (nz / 4, nz % 4);
     let np = n_patches as u64;
 
-    // The shared bulk/native channel body (charge policy as in the pair
-    // body above).
+    // The bulk channel body: outputs from zero-copy slices, one
+    // accounting block for the channel.
     #[allow(clippy::too_many_arguments)]
-    fn channel_body<P: ChargePolicy>(
+    fn channel_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &SparseConvJob,
@@ -322,19 +319,13 @@ pub(crate) fn channel_sparse_sw(
         for (p, &out) in outs.iter().enumerate().take(n_patches) {
             mem.store_i8(job.conv.bufs.output + ((pos + p) * geom.k + k) as u32, out);
         }
-        P::charge_block(core, || {
-            channel_block(bits, nz / 4, nz % 4, n_patches as u64)
-        });
+        core.charge_block(&channel_block(bits, nz / 4, nz % 4, n_patches as u64));
     }
 
-    match ctx.path() {
-        ExecPath::Bulk(mem) => {
-            channel_body::<Charged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        ExecPath::Native(mem) => {
-            channel_body::<Uncharged>(mem, core, job, pos, n_patches, buf, k, wrow, seg)
-        }
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(mem) => channel_body(mem, core, job, pos, n_patches, buf, k, wrow, seg),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             let vrow = wrow;
             let mut acc = [0i32; 2];
             for j in 0..chunks {
@@ -392,7 +383,7 @@ pub(crate) fn channel_sparse_sw(
                 );
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             let (idx_alu, idx_loads) = if bits == 4 { (8, 1) } else { (9, 1) };
             core.charge(InstrClass::Load, chunks as u64 * idx_loads);
             core.charge(InstrClass::Alu, chunks as u64 * (idx_alu + 2));

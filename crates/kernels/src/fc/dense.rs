@@ -5,9 +5,9 @@
 
 use super::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{dense_dot, loop_scaffold, write_out};
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::Result;
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -18,17 +18,14 @@ use std::ops::Range;
 /// the sparse kernels.
 pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<KernelStats> {
     let geom = job.geom;
-    let native = ctx.is_native();
     Ok(run_fc(
         "fc-dense-1x2".into(),
         &geom,
         cluster,
-        native,
         |core_id, core| {
             let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-            match ctx.path() {
-                ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, range),
-                ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, range),
+            match ctx {
+                Ctx::MemBulk(mem) => core_body(mem, core, job, range),
                 _ => {
                     let mut k = range.start;
                     while k < range.end {
@@ -46,16 +43,9 @@ pub fn fc_dense(ctx: &mut Ctx<'_>, job: &FcJob, cluster: &Cluster) -> Result<Ker
     ))
 }
 
-/// One core's worth of dense FC channels: the single shared kernel body
-/// for the bulk and native tiers. Compute is identical; `P` decides
-/// whether the batched accounting block is charged at all (on
-/// [`Uncharged`] the whole block construction folds away).
-fn core_body<P: ChargePolicy>(
-    mem: &mut Scratchpad,
-    core: &mut Core,
-    job: &FcJob,
-    range: Range<usize>,
-) {
+/// One core's worth of dense FC channels on the bulk tier: outputs from
+/// zero-copy slices, then one batched accounting block for the core.
+fn core_body(mem: &mut Scratchpad, core: &mut Core, job: &FcJob, range: Range<usize>) {
     let geom = job.geom;
     let c = geom.c;
     let out0 = job.bufs.output + range.start as u32;
@@ -75,17 +65,16 @@ fn core_body<P: ChargePolicy>(
             .collect();
         write_out(mem, out0, &outs);
     }
-    let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (c / 4, c % 4);
-        let n_pairs = (n_channels / 2) as u64;
-        let odd = (n_channels % 2) as u64;
-        let scaffold = loop_scaffold(&costs, 2);
-        scaffold
+    let (chunks, tail) = (c / 4, c % 4);
+    let n_pairs = (n_channels / 2) as u64;
+    let odd = (n_channels % 2) as u64;
+    let scaffold = loop_scaffold(core.costs(), 2);
+    core.charge_block(
+        &scaffold
             .then(channels_block(chunks, tail, 2))
             .repeat(n_pairs)
-            .then(scaffold.then(channels_block(chunks, tail, 1)).repeat(odd))
-    });
+            .then(scaffold.then(channels_block(chunks, tail, 1)).repeat(odd)),
+    );
 }
 
 /// The accounting block of `nk` dense FC channels (the exact batched
@@ -115,8 +104,8 @@ pub(crate) fn channels(
     let (chunks, tail) = (c / 4, c % 4);
     let nku = nk as u64;
     // Outputs from zero-copy slices; one accounting call for the whole
-    // channel group (compiled out entirely on the native tier).
-    fn group_body<P: ChargePolicy>(
+    // channel group.
+    fn group_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &FcJob,
@@ -140,12 +129,12 @@ pub(crate) fn channels(
         for (q, &out) in outs.iter().enumerate().take(nk) {
             mem.store_i8(job.bufs.output + (k + q) as u32, out);
         }
-        P::charge_block(core, || channels_block(c / 4, c % 4, nk as u64));
+        core.charge_block(&channels_block(c / 4, c % 4, nk as u64));
     }
-    match ctx.path() {
-        ExecPath::Bulk(mem) => group_body::<Charged>(mem, core, job, k, wrow, nk),
-        ExecPath::Native(mem) => group_body::<Uncharged>(mem, core, job, k, wrow, nk),
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(mem) => group_body(mem, core, job, k, wrow, nk),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             let mut acc = [0i32; 2];
             for j in 0..chunks {
                 let mut w = [0u32; 2];
@@ -171,7 +160,7 @@ pub(crate) fn channels(
                 core.sb(mem, job.bufs.output + (k + q) as u32, out);
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Load, chunks as u64 * (nku + 1));
             core.charge(InstrClass::SimdDotp, chunks as u64 * nku);
             core.charge(InstrClass::Load, tail as u64 * (nku + 1));

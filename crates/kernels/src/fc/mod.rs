@@ -43,36 +43,21 @@ pub struct FcJob {
 pub(crate) const EPILOGUE_ALU: u64 = 3;
 
 /// Shared per-core driver: runs `body(core_id, core)` on every cluster
-/// core and assembles the stats. On the native tier (`native == true`)
-/// the per-core overhead and barrier are skipped so the returned stats
-/// stay all-zero — native runs outputs only, cycles are undefined.
-pub(crate) fn run_fc<F>(
-    name: String,
-    geom: &FcGeom,
-    cluster: &Cluster,
-    native: bool,
-    mut body: F,
-) -> KernelStats
+/// core and assembles the stats.
+pub(crate) fn run_fc<F>(name: String, geom: &FcGeom, cluster: &Cluster, mut body: F) -> KernelStats
 where
     F: FnMut(usize, &mut Core),
 {
     let mut per_core = Vec::with_capacity(cluster.n_cores());
     for core_id in 0..cluster.n_cores() {
         let mut core = Core::new(cluster.costs());
-        if !native {
-            core.kernel_overhead();
-        }
+        core.kernel_overhead();
         body(core_id, &mut core);
         per_core.push(core.stats());
     }
-    let barrier = if native {
-        0
-    } else {
-        cluster.costs().barrier_cycles
-    };
     KernelStats {
         name,
-        cluster: ClusterStats::from_cores(per_core, barrier),
+        cluster: ClusterStats::from_cores(per_core, cluster.costs().barrier_cycles),
         dense_macs: geom.macs() as u64,
     }
 }

@@ -20,12 +20,10 @@ use super::{run_fc, EPILOGUE_ALU};
 use crate::bulk::{gather_dot2_pair, loop_scaffold, nm_gather_dot, offsets_len, write_out};
 use crate::conv::sparse_isa::decimate_mode;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::{Error, Result};
-use nm_isa::{
-    ChargePolicy, Charged, Core, DecimateMode, InstrBlock, InstrClass, Memory, Uncharged,
-};
+use nm_isa::{Core, DecimateMode, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -54,12 +52,10 @@ pub fn fc_sparse_isa(
     let mode = decimate_mode(job.nm);
     let name = format!("fc-sparse-isa-{}", job.nm);
     let n_pairs = geom.k / 2;
-    let native = ctx.is_native();
-    Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
+    Ok(run_fc(name, &geom, cluster, |core_id, core| {
         let range = chunk_range(n_pairs, cluster.n_cores(), core_id);
-        match ctx.path() {
-            ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
+        match ctx {
+            Ctx::MemBulk(mem) => core_body(mem, core, job, seg, range),
             _ => {
                 for pair in range {
                     core.outer_loop_iter();
@@ -72,11 +68,10 @@ pub fn fc_sparse_isa(
     }))
 }
 
-/// One core's worth of `xDecimate` FC channel pairs: the single shared
-/// kernel body for the bulk and native tiers. Uniform channel pairs, one
-/// repeated accounting block per core (never built on [`Uncharged`]),
+/// One core's worth of `xDecimate` FC channel pairs on the bulk tier.
+/// Uniform channel pairs, one repeated accounting block per core,
 /// operand slices taken once.
-fn core_body<P: ChargePolicy>(
+fn core_body(
     mem: &mut Scratchpad,
     core: &mut Core,
     job: &SparseFcJob,
@@ -116,13 +111,12 @@ fn core_body<P: ChargePolicy>(
             .collect();
         write_out(mem, out0, &outs);
     }
-    let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (nz / 4, nz % 4);
-        loop_scaffold(&costs, 4)
+    let (chunks, tail) = (nz / 4, nz % 4);
+    core.charge_block(
+        &loop_scaffold(core.costs(), 4)
             .then(pair_block(chunks, tail))
-            .repeat(pairs)
-    });
+            .repeat(pairs),
+    );
 }
 
 /// The accounting block of one `xDecimate` FC channel pair (the exact
@@ -162,9 +156,9 @@ fn channel_pair(
     let entries_per_word = job.nm.offsets_per_word();
     let k = 2 * pair;
 
-    // Shared bulk/native pair body; `P` decides whether the pair's
-    // accounting block exists at all.
-    fn pair_body<P: ChargePolicy>(
+    // The bulk pair body: outputs from zero-copy slices, one accounting
+    // block for the pair.
+    fn pair_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &SparseFcJob,
@@ -200,13 +194,13 @@ fn channel_pair(
         for (q, &out) in outs.iter().enumerate() {
             mem.store_i8(job.fc.bufs.output + (k + q) as u32, out);
         }
-        P::charge_block(core, || pair_block(nz / 4, nz % 4));
+        core.charge_block(&pair_block(nz / 4, nz % 4));
     }
 
-    match ctx.path() {
-        ExecPath::Bulk(mem) => pair_body::<Charged>(mem, core, job, pair, seg_bytes),
-        ExecPath::Native(mem) => pair_body::<Uncharged>(mem, core, job, pair, seg_bytes),
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(mem) => pair_body(mem, core, job, pair, seg_bytes),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             core.xdecimate_clear();
             let vrow = [
                 job.fc.bufs.weights + (k * nz) as u32,
@@ -252,7 +246,7 @@ fn channel_pair(
                 core.sb(mem, job.fc.bufs.output + (k + q) as u32, out);
             }
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Xfu, 1); // xDecimate.clear
             core.charge(InstrClass::Load, chunks as u64 * 3); // offsets word + 2 weight words
             core.charge(InstrClass::Xfu, chunks as u64 * 8);

@@ -13,11 +13,11 @@ use super::{run_fc, FcJob, EPILOGUE_ALU};
 use crate::bulk::{loop_scaffold, nm_gather_dot, offsets_len, write_out};
 use crate::conv::sparse_sw::read_offset;
 use crate::layout::nm_segment_bytes;
-use crate::stats::{Ctx, ExecPath, KernelStats};
+use crate::stats::{Ctx, KernelStats};
 use nm_core::format::OffsetLayout;
 use nm_core::sparsity::Nm;
 use nm_core::{Error, Result};
-use nm_isa::{ChargePolicy, Charged, Core, InstrBlock, InstrClass, Memory, Uncharged};
+use nm_isa::{Core, InstrBlock, InstrClass, Memory};
 use nm_platform::{chunk_range, Cluster, Scratchpad};
 use std::ops::Range;
 
@@ -70,12 +70,10 @@ pub fn fc_sparse_sw(
     let nz = job.nz_per_channel();
     let seg = nm_segment_bytes(job.nm, nz, OffsetLayout::Plain) as u32;
     let name = format!("fc-sparse-sw-{}", job.nm);
-    let native = ctx.is_native();
-    Ok(run_fc(name, &geom, cluster, native, |core_id, core| {
+    Ok(run_fc(name, &geom, cluster, |core_id, core| {
         let range = chunk_range(geom.k, cluster.n_cores(), core_id);
-        match ctx.path() {
-            ExecPath::Bulk(mem) => core_body::<Charged>(mem, core, job, seg, range),
-            ExecPath::Native(mem) => core_body::<Uncharged>(mem, core, job, seg, range),
+        match ctx {
+            Ctx::MemBulk(mem) => core_body(mem, core, job, seg, range),
             _ => {
                 for k in range {
                     core.outer_loop_iter();
@@ -90,12 +88,10 @@ pub fn fc_sparse_sw(
     }))
 }
 
-/// One core's worth of software-decimation FC channels: the single
-/// shared kernel body for the bulk and native tiers. Every channel has
-/// the same shape, so the whole range charges as one repeated block and
-/// the operand slices are taken once per core; on [`Uncharged`] the
-/// accounting block is never even built.
-fn core_body<P: ChargePolicy>(
+/// One core's worth of software-decimation FC channels on the bulk tier.
+/// Every channel has the same shape, so the whole range charges as one
+/// repeated block and the operand slices are taken once per core.
+fn core_body(
     mem: &mut Scratchpad,
     core: &mut Core,
     job: &SparseFcJob,
@@ -134,13 +130,12 @@ fn core_body<P: ChargePolicy>(
             .collect();
         write_out(mem, out0, &outs);
     }
-    let costs = *core.costs();
-    P::charge_block(core, || {
-        let (chunks, tail) = (nz / 4, nz % 4);
-        loop_scaffold(&costs, 3)
+    let (chunks, tail) = (nz / 4, nz % 4);
+    core.charge_block(
+        &loop_scaffold(core.costs(), 3)
             .then(channel_block(chunks, tail))
-            .repeat(channels)
-    });
+            .repeat(channels),
+    );
 }
 
 /// The accounting block of one software-decimation FC channel (the exact
@@ -173,9 +168,9 @@ pub(crate) fn channel(
     let nz = job.nz_per_channel();
     let (chunks, tail) = (nz / 4, nz % 4);
 
-    // Shared bulk/native channel body; `P` decides whether the channel's
-    // accounting block exists at all.
-    fn channel_body<P: ChargePolicy>(
+    // The bulk channel body: outputs from zero-copy slices, one
+    // accounting block for the channel.
+    fn channel_body(
         mem: &mut Scratchpad,
         core: &mut Core,
         job: &SparseFcJob,
@@ -199,13 +194,13 @@ pub(crate) fn channel(
                 .apply(nm_gather_dot(values, input, offs, bits, m, 0, 1))
         };
         mem.store_i8(job.fc.bufs.output + k as u32, out);
-        P::charge_block(core, || channel_block(nz / 4, nz % 4));
+        core.charge_block(&channel_block(nz / 4, nz % 4));
     }
 
-    match ctx.path() {
-        ExecPath::Bulk(mem) => channel_body::<Charged>(mem, core, job, k, wrow, seg),
-        ExecPath::Native(mem) => channel_body::<Uncharged>(mem, core, job, k, wrow, seg),
-        ExecPath::Reference(mem) => {
+    match ctx {
+        Ctx::MemBulk(mem) => channel_body(mem, core, job, k, wrow, seg),
+        Ctx::Mem(mem) => {
+            let mem: &mut Scratchpad = mem;
             let vrow = wrow;
             let mut acc = 0i32;
             for j in 0..chunks {
@@ -247,7 +242,7 @@ pub(crate) fn channel(
             let out = job.fc.requant.apply(acc);
             core.sb(mem, job.fc.bufs.output + k as u32, out);
         }
-        ExecPath::Analytic => {
+        Ctx::Analytic => {
             core.charge(InstrClass::Load, chunks as u64); // offsets fetch
             core.charge(InstrClass::Alu, chunks as u64 * 9); // 4x(shift,mask) + ptr update
             core.charge(InstrClass::Load, chunks as u64 * 4); // decimated byte loads

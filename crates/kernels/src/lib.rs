@@ -46,4 +46,4 @@ pub mod reference;
 pub mod stats;
 pub mod testdata;
 
-pub use stats::{Ctx, ExecPath, ExecTier, KernelStats};
+pub use stats::{Ctx, ExecTier, KernelStats};

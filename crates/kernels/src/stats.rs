@@ -11,11 +11,11 @@ use nm_platform::{ClusterStats, Scratchpad};
 ///   slices, accounting via whole [`nm_isa::InstrBlock`] charges.
 ///   **Bit- and cycle-identical** to `Reference` (enforced by
 ///   `tests/bulk_parity.rs`).
-/// * [`ExecTier::Native`] — deployment-speed path: the *same* kernel
-///   bodies as `Bulk`, monomorphized with [`nm_isa::Uncharged`] so all
-///   accounting compiles out. Outputs stay bit-identical to `Bulk`
-///   (enforced by `tests/native_parity.rs`); cycles/instret are
-///   **undefined** (reported as zero) on this tier.
+/// * [`ExecTier::Native`] — the bulk tier with cycles withheld: kernels
+///   run exactly as on `Bulk` ([`Ctx::tiered`] maps both to
+///   [`Ctx::MemBulk`]), and the layers above the kernels report no
+///   cycles/instret on this tier (zero in the compiler, `None` in
+///   serving).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
     /// Per-instruction reference emulation.
@@ -23,7 +23,7 @@ pub enum ExecTier {
     /// Bulk fast-path emulation (slices + block charging).
     #[default]
     Bulk,
-    /// Uncharged native execution (outputs only, no statistics).
+    /// Bulk execution with cycles withheld (outputs only).
     Native,
 }
 
@@ -54,8 +54,7 @@ impl ExecTier {
 }
 
 /// Execution context: emulation against a real L1 scratchpad (bit-exact
-/// outputs) on one of the three [`ExecTier`]s, or analytic mode (cycle
-/// charging only, no memory traffic).
+/// outputs), or analytic mode (cycle charging only, no memory traffic).
 ///
 /// [`Ctx::Mem`] is the golden reference: every charged operation performs
 /// its architectural effect one instruction at a time. [`Ctx::MemBulk`]
@@ -63,72 +62,38 @@ impl ExecTier {
 /// the parity tests in `tests/bulk_parity.rs`) but computes outputs from
 /// zero-copy scratchpad slices and charges whole instruction blocks via
 /// [`nm_isa::Core::charge_block`], which makes host emulation several
-/// times faster. [`Ctx::MemNative`] runs the same bulk kernel bodies
-/// with charging compiled out ([`nm_isa::Uncharged`]): identical outputs,
-/// zero statistics, fastest wall-clock. Use `Mem` when validating the
-/// model, `MemBulk` for sweeps and gated benches, `MemNative` for
-/// serving traffic that only wants outputs.
+/// times faster. Use `Mem` when validating the model and `MemBulk` for
+/// sweeps, benches and serving.
 #[derive(Debug)]
 pub enum Ctx<'a> {
     /// Emulate per-instruction against this L1 scratchpad (reference).
     Mem(&'a mut Scratchpad),
     /// Emulate against this L1 scratchpad on the bulk fast path.
     MemBulk(&'a mut Scratchpad),
-    /// Run uncharged against this L1 scratchpad (outputs only).
-    MemNative(&'a mut Scratchpad),
     /// Charge cycles without touching memory.
     Analytic,
 }
 
-/// A reborrowed view of a [`Ctx`] that kernels dispatch on.
-#[derive(Debug)]
-pub enum ExecPath<'m> {
-    /// Per-instruction reference emulation.
-    Reference(&'m mut Scratchpad),
-    /// Bulk fast-path emulation (slices + block charging).
-    Bulk(&'m mut Scratchpad),
-    /// Uncharged native execution (slices, no accounting).
-    Native(&'m mut Scratchpad),
-    /// No memory: charge only.
-    Analytic,
-}
-
 impl<'a> Ctx<'a> {
-    /// The emulation context for `tier` over `mem`.
+    /// The emulation context for `tier` over `mem`. [`ExecTier::Native`]
+    /// runs the bulk tier; withholding its cycles is the caller's job.
     pub fn tiered(tier: ExecTier, mem: &'a mut Scratchpad) -> Self {
         match tier {
             ExecTier::Reference => Ctx::Mem(mem),
-            ExecTier::Bulk => Ctx::MemBulk(mem),
-            ExecTier::Native => Ctx::MemNative(mem),
+            ExecTier::Bulk | ExecTier::Native => Ctx::MemBulk(mem),
         }
     }
 
     /// Whether this context carries a memory (any emulation tier).
     pub fn is_mem(&self) -> bool {
-        matches!(self, Ctx::Mem(_) | Ctx::MemBulk(_) | Ctx::MemNative(_))
-    }
-
-    /// Whether this context runs the uncharged native tier.
-    pub fn is_native(&self) -> bool {
-        matches!(self, Ctx::MemNative(_))
+        matches!(self, Ctx::Mem(_) | Ctx::MemBulk(_))
     }
 
     /// The scratchpad, if emulating (any tier).
     pub fn mem(&mut self) -> Option<&mut Scratchpad> {
         match self {
-            Ctx::Mem(m) | Ctx::MemBulk(m) | Ctx::MemNative(m) => Some(m),
+            Ctx::Mem(m) | Ctx::MemBulk(m) => Some(m),
             Ctx::Analytic => None,
-        }
-    }
-
-    /// The execution path this context selects, with the scratchpad
-    /// reborrowed for the kernel body.
-    pub fn path(&mut self) -> ExecPath<'_> {
-        match self {
-            Ctx::Mem(m) => ExecPath::Reference(m),
-            Ctx::MemBulk(m) => ExecPath::Bulk(m),
-            Ctx::MemNative(m) => ExecPath::Native(m),
-            Ctx::Analytic => ExecPath::Analytic,
         }
     }
 }
@@ -205,20 +170,12 @@ mod tests {
         let mut ctx = Ctx::Mem(&mut l1);
         assert!(ctx.is_mem());
         assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Reference(_)));
         let mut ctx = Ctx::MemBulk(&mut l1);
         assert!(ctx.is_mem());
         assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Bulk(_)));
-        let mut ctx = Ctx::MemNative(&mut l1);
-        assert!(ctx.is_mem());
-        assert!(ctx.is_native());
-        assert!(ctx.mem().is_some());
-        assert!(matches!(ctx.path(), ExecPath::Native(_)));
         let mut ctx = Ctx::Analytic;
         assert!(!ctx.is_mem());
         assert!(ctx.mem().is_none());
-        assert!(matches!(ctx.path(), ExecPath::Analytic));
     }
 
     #[test]
@@ -234,7 +191,7 @@ mod tests {
         ));
         assert!(matches!(
             Ctx::tiered(ExecTier::Native, &mut l1),
-            Ctx::MemNative(_)
+            Ctx::MemBulk(_)
         ));
         for tier in [ExecTier::Reference, ExecTier::Bulk, ExecTier::Native] {
             assert_eq!(ExecTier::from_name(tier.name()), Some(tier));

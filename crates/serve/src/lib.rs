@@ -50,17 +50,14 @@
 //!   bit-identical to running the same input through a sequential
 //!   [`PreparedGraph::run`] loop on the same prepared model — and the
 //!   native tier's outputs are bit-identical to the bulk tier's, since
-//!   both tiers execute the *same* kernel bodies (charging is a
-//!   zero-sized policy parameter compiled out on native, never a
-//!   forked copy of the loop).
+//!   the native tier *is* the bulk tier with cycles withheld.
 //! * **Cycles are gated on the cycle-accurate tiers only.** On
 //!   [`ExecTier::Reference`] and [`ExecTier::Bulk`], every request's
 //!   simulated cycle total ([`InferenceResult::sim_cycles`], `Some`)
 //!   is bit-identical to the sequential run's and to the analytic
-//!   plan. On [`ExecTier::Native`] cycles are not simulated at all:
-//!   `sim_cycles` is `None`, and the only timing quantities are
-//!   wall-clock ([`InferenceResult::latency`]) — faster, but carrying
-//!   no simulated meaning.
+//!   plan. On [`ExecTier::Native`] cycles are withheld: `sim_cycles`
+//!   is `None`, and the only timing quantities are wall-clock
+//!   ([`InferenceResult::latency`]), carrying no simulated meaning.
 //!
 //! The per-request determinism holds because:
 //!

@@ -38,7 +38,7 @@ pub struct ServiceConfig {
     /// every result of one service agree on a single tier. On
     /// [`ExecTier::Reference`]/[`ExecTier::Bulk`] results carry
     /// simulated cycles ([`InferenceResult::sim_cycles`] is `Some`); on
-    /// [`ExecTier::Native`] cycles are not simulated and `sim_cycles`
+    /// [`ExecTier::Native`] cycles are withheld and `sim_cycles`
     /// is `None`.
     pub tier: ExecTier,
     /// Worker respawns allowed over the service lifetime. Per-batch
@@ -287,7 +287,7 @@ pub struct InferenceResult {
     /// to a sequential run's, whatever batch the request rode in.
     /// `Some` on the cycle-accurate tiers ([`ExecTier::Reference`],
     /// [`ExecTier::Bulk`]); `None` on [`ExecTier::Native`], where
-    /// cycles are not simulated (wall-clock [`InferenceResult::latency`]
+    /// cycles are withheld (wall-clock [`InferenceResult::latency`]
     /// is the only timing quantity there).
     pub sim_cycles: Option<u64>,
     /// Requests that rode in the batch that served this one

@@ -1,307 +1,20 @@
-//! Native-tier parity: `Ctx::MemNative` runs the *same* kernel bodies
-//! as the bulk tier with the simulation accounting compiled out
-//! (`ChargePolicy = Uncharged`), so its contract is:
+//! Native-tier parity: `ExecTier::Native` is the bulk tier with cycles
+//! withheld. Kernels run exactly as on `ExecTier::Bulk`; the compiled
+//! executor reports zero cycles for the tier. The contract, checked end
+//! to end through `PreparedGraph` on the ViT-tiny and ResNet-18/CIFAR
+//! serving models (the graphs behind the bench suite's `net-*-native`
+//! rows):
 //!
-//! * **outputs** — the whole scratchpad must stay bit-identical to the
-//!   bulk tier's, for every kernel family and weight format;
-//! * **statistics** — all zero. Cycles and instret are only defined on
-//!   the cycle-accurate tiers; a native run that reports a non-zero
-//!   count means charging code survived the monomorphization.
-//!
-//! Coverage: fc/conv × dense / sparse-sw / sparse-isa, the per-channel
-//! mixed kernels, the related-work baseline formats (CSR / dCSR /
-//! blockwise), and `PreparedGraph` end to end on the ViT-tiny and
-//! ResNet-18/CIFAR serving models (the graphs behind the bench suite's
-//! `net-*-native` rows).
+//! * **outputs** — bit-identical to the bulk tier's;
+//! * **cycles** — `matmul_compute_cycles` is zero, since cycles are only
+//!   reported on the cycle-accurate tiers.
 
 use nm_compiler::{ExecTier, Options, PreparedGraph, Target};
-use nm_core::format::{
-    BlockwiseMatrix, ChannelNmMatrix, CsrMatrix, DcsrMatrix, NmMatrix, OffsetLayout,
-};
-use nm_core::quant::Requant;
 use nm_core::sparsity::Nm;
-use nm_core::{ConvGeom, FcGeom, Tensor};
-use nm_isa::CostModel;
-use nm_kernels::baseline::blockwise::{fc_blockwise, stage_blockwise_fc};
-use nm_kernels::baseline::csr::{fc_csr, stage_csr_fc};
-use nm_kernels::baseline::dcsr::{fc_dcsr, stage_dcsr_fc};
-use nm_kernels::conv::dense::{conv_dense_1x2, conv_dense_4x2};
-use nm_kernels::conv::per_channel::{conv_channel_mixed, ChannelConvJob, ChannelEngine};
-use nm_kernels::conv::sparse_isa::conv_sparse_isa;
-use nm_kernels::conv::sparse_sw::{conv_sparse_sw, SparseConvJob};
-use nm_kernels::conv::ConvJob;
-use nm_kernels::fc::dense::fc_dense;
-use nm_kernels::fc::per_channel::{fc_channel_mixed, ChannelFcJob};
-use nm_kernels::fc::sparse_isa::fc_sparse_isa;
-use nm_kernels::fc::sparse_sw::{fc_sparse_sw, SparseFcJob};
-use nm_kernels::fc::FcJob;
-use nm_kernels::layout::{
-    stage_conv_channelwise, stage_conv_dense, stage_conv_sparse, stage_fc_channelwise,
-    stage_fc_dense, stage_fc_sparse,
-};
-use nm_kernels::testdata::{random_data, random_sparse_data};
-use nm_kernels::{Ctx, KernelStats};
+use nm_core::Tensor;
 use nm_models::resnet18_cifar_serve_sparse;
 use nm_models::vit::vit_tiny_sparse_for_tests;
 use nm_nn::rng::XorShift;
-use nm_platform::{Cluster, Scratchpad};
-
-/// Runs `kernel` on the bulk and native paths over clones of the same
-/// staged scratchpad; asserts full-memory bit-exactness and that the
-/// native run charged nothing.
-fn assert_native_parity<F>(l1: &Scratchpad, cores: usize, kernel: F)
-where
-    F: Fn(&mut Ctx<'_>, &Cluster) -> KernelStats,
-{
-    let cluster = Cluster::new(cores, CostModel::default());
-    let mut l1_bulk = l1.clone();
-    let mut l1_native = l1.clone();
-    let bulk = kernel(&mut Ctx::MemBulk(&mut l1_bulk), &cluster);
-    let native = kernel(&mut Ctx::MemNative(&mut l1_native), &cluster);
-    assert_eq!(
-        l1_bulk.bytes(),
-        l1_native.bytes(),
-        "native scratchpad diverged from bulk"
-    );
-    assert_eq!(native.cycles(), 0, "native run charged cycles");
-    assert_eq!(
-        native.cluster.total_instret(),
-        0,
-        "native run charged instructions"
-    );
-    assert_eq!(native.cluster.total_macs(), 0, "native run counted MACs");
-    // The bulk side of the comparison must be a real simulation, or the
-    // zero-stat assertions above would trivially pass on a no-op.
-    assert!(bulk.cycles() > 0, "bulk reference run simulated nothing");
-}
-
-/// FC geometries per pattern: chunk-only, chunk + tail, tail-only tiny.
-fn fc_geoms(nm: Nm) -> [FcGeom; 3] {
-    let m = nm.m();
-    [
-        FcGeom::new(8 * m, 6).unwrap(),
-        FcGeom::new(5 * m, 4).unwrap(),
-        FcGeom::new(m, 2).unwrap(),
-    ]
-}
-
-/// Conv geometries per pattern: chunk-only, chunk + tail, tail-only.
-fn conv_geoms(nm: Nm) -> [ConvGeom; 3] {
-    let m = nm.m();
-    [
-        ConvGeom::square(4 * m, 4, 4, 1, 1, 0).unwrap(),
-        ConvGeom::square(m, 3, 5, 3, 1, 1).unwrap(),
-        ConvGeom::square(m, 1, 3, 1, 1, 0).unwrap(),
-    ]
-}
-
-#[test]
-fn fc_dense_native_parity() {
-    for geom in [
-        FcGeom::new(64, 16).unwrap(),
-        FcGeom::new(30, 7).unwrap(),
-        FcGeom::new(5, 1).unwrap(),
-    ] {
-        let input = random_data(geom.c, 3);
-        let weights = random_data(geom.weight_elems(), 17);
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let bufs = stage_fc_dense(&mut l1, &geom, &input, &weights).unwrap();
-        let job = FcJob {
-            geom,
-            requant: Requant::for_dot_len(geom.c),
-            bufs,
-        };
-        assert_native_parity(&l1, 4, |ctx, cluster| fc_dense(ctx, &job, cluster).unwrap());
-    }
-}
-
-#[test]
-fn fc_sparse_native_parity() {
-    for nm in Nm::KERNEL_PATTERNS {
-        for geom in fc_geoms(nm) {
-            let input = random_data(geom.c, 9);
-            let dense = random_data(geom.weight_elems(), 23);
-            let rq = Requant::for_dot_len((geom.c / nm.m()).max(1));
-            for layout in [OffsetLayout::Plain, OffsetLayout::Interleaved] {
-                let w = NmMatrix::prune_from_dense(&dense, geom.k, geom.c, nm, layout).unwrap();
-                let mut l1 = Scratchpad::new("l1", 512 * 1024);
-                let bufs = stage_fc_sparse(&mut l1, &geom, &input, &w).unwrap();
-                let job = SparseFcJob {
-                    fc: FcJob {
-                        geom,
-                        requant: rq,
-                        bufs,
-                    },
-                    nm,
-                };
-                match layout {
-                    OffsetLayout::Plain => assert_native_parity(&l1, 4, |ctx, cluster| {
-                        fc_sparse_sw(ctx, &job, cluster).unwrap()
-                    }),
-                    _ => assert_native_parity(&l1, 4, |ctx, cluster| {
-                        fc_sparse_isa(ctx, &job, cluster).unwrap()
-                    }),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn conv_native_parity() {
-    // Dense kernels across reuse / tail / strided geometries.
-    for geom in [
-        ConvGeom::square(8, 4, 6, 3, 1, 1).unwrap(),
-        ConvGeom::square(3, 9, 5, 3, 1, 1).unwrap(),
-        ConvGeom::square(4, 2, 7, 3, 2, 1).unwrap(),
-    ] {
-        let input = random_data(geom.input_elems(), 7);
-        let weights = random_data(geom.weight_elems(), 13);
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let bufs = stage_conv_dense(&mut l1, &geom, &input, &weights, 4).unwrap();
-        let job = ConvJob {
-            geom,
-            requant: Requant::for_dot_len(geom.patch_len()),
-            bufs,
-        };
-        assert_native_parity(&l1, 4, |ctx, cluster| {
-            conv_dense_1x2(ctx, &job, cluster).unwrap()
-        });
-        assert_native_parity(&l1, 4, |ctx, cluster| {
-            conv_dense_4x2(ctx, &job, cluster).unwrap()
-        });
-    }
-    // Sparse kernels, both engines, across patterns.
-    for nm in Nm::KERNEL_PATTERNS {
-        for geom in conv_geoms(nm) {
-            let input = random_data(geom.input_elems(), 3);
-            let dense = random_data(geom.weight_elems(), 11);
-            let rq = Requant::for_dot_len((geom.patch_len() / nm.m()).max(1));
-            for layout in [OffsetLayout::Plain, OffsetLayout::Duplicated] {
-                let w = NmMatrix::prune_from_dense(&dense, geom.k, geom.patch_len(), nm, layout)
-                    .unwrap();
-                let mut l1 = Scratchpad::new("l1", 512 * 1024);
-                let bufs = stage_conv_sparse(&mut l1, &geom, &input, &w, 4).unwrap();
-                let job = SparseConvJob {
-                    conv: ConvJob {
-                        geom,
-                        requant: rq,
-                        bufs,
-                    },
-                    nm,
-                };
-                match layout {
-                    OffsetLayout::Plain => assert_native_parity(&l1, 4, |ctx, cluster| {
-                        conv_sparse_sw(ctx, &job, cluster).unwrap()
-                    }),
-                    _ => assert_native_parity(&l1, 4, |ctx, cluster| {
-                        conv_sparse_isa(ctx, &job, cluster).unwrap()
-                    }),
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn baseline_formats_native_parity() {
-    let geom = FcGeom::new(96, 7).unwrap();
-    let mut cases: Vec<(FcGeom, Vec<i8>)> = [3usize, 8, 17]
-        .iter()
-        .map(|&keep| (geom, random_sparse_data(geom.weight_elems(), keep, 29)))
-        .collect();
-    cases.push((FcGeom::new(32, 5).unwrap(), vec![0i8; 32 * 5]));
-    for (geom, dense) in &cases {
-        let geom = *geom;
-        let input = random_data(geom.c, 47);
-        let fc = FcJob {
-            geom,
-            requant: Requant::for_dot_len(12),
-            bufs: Default::default(),
-        };
-
-        let w = CsrMatrix::from_dense(dense, geom.k, geom.c).unwrap();
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let job = stage_csr_fc(&mut l1, &fc, &input, &w).unwrap();
-        assert_native_parity(&l1, 4, |ctx, cluster| fc_csr(ctx, &job, cluster).unwrap());
-
-        let w = DcsrMatrix::from_dense(dense, geom.k, geom.c).unwrap();
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let job = stage_dcsr_fc(&mut l1, &fc, &input, &w).unwrap();
-        assert_native_parity(&l1, 4, |ctx, cluster| fc_dcsr(ctx, &job, cluster).unwrap());
-
-        let w = BlockwiseMatrix::from_dense(dense, geom.k, geom.c, 4).unwrap();
-        let mut l1 = Scratchpad::new("l1", 512 * 1024);
-        let job = stage_blockwise_fc(&mut l1, &fc, &input, &w).unwrap();
-        assert_native_parity(&l1, 4, |ctx, cluster| {
-            fc_blockwise(ctx, &job, cluster).unwrap()
-        });
-    }
-}
-
-#[test]
-fn per_channel_mixed_native_parity() {
-    let ladder = [
-        None,
-        Some(Nm::ONE_OF_FOUR),
-        None,
-        Some(Nm::ONE_OF_EIGHT),
-        Some(Nm::ONE_OF_SIXTEEN),
-    ];
-
-    let geom = FcGeom::new(80, 7).unwrap();
-    let patterns: Vec<_> = (0..geom.k).map(|i| ladder[i % ladder.len()]).collect();
-    let input = random_data(geom.c, 13);
-    let dense = random_data(geom.weight_elems(), 29);
-    let w =
-        ChannelNmMatrix::prune_from_dense(&dense, geom.k, geom.c, &patterns, OffsetLayout::Plain)
-            .unwrap();
-    let mut l1 = Scratchpad::new("l1", 256 * 1024);
-    let (bufs, row_values, row_offsets) = stage_fc_channelwise(&mut l1, &geom, &input, &w).unwrap();
-    let job = ChannelFcJob {
-        fc: FcJob {
-            geom,
-            requant: Requant::for_dot_len(geom.c / 8),
-            bufs,
-        },
-        patterns,
-        row_values,
-        row_offsets,
-    };
-    assert_native_parity(&l1, 4, |ctx, cluster| {
-        fc_channel_mixed(ctx, &job, cluster).unwrap()
-    });
-
-    for engine in [ChannelEngine::Software, ChannelEngine::Isa] {
-        let geom = ConvGeom::square(16, 5, 5, 3, 1, 1).unwrap();
-        let patterns: Vec<_> = (0..geom.k).map(|i| ladder[i % ladder.len()]).collect();
-        let layout = match engine {
-            ChannelEngine::Software => OffsetLayout::Plain,
-            ChannelEngine::Isa => OffsetLayout::Duplicated,
-        };
-        let input = random_data(geom.input_elems(), 37);
-        let dense = random_data(geom.weight_elems(), 43);
-        let w =
-            ChannelNmMatrix::prune_from_dense(&dense, geom.k, geom.patch_len(), &patterns, layout)
-                .unwrap();
-        let mut l1 = Scratchpad::new("l1", 256 * 1024);
-        let (bufs, row_values, row_offsets) =
-            stage_conv_channelwise(&mut l1, &geom, &input, &w, 4).unwrap();
-        let job = ChannelConvJob {
-            conv: ConvJob {
-                geom,
-                requant: Requant::for_dot_len(geom.patch_len() / 8),
-                bufs,
-            },
-            patterns,
-            row_values,
-            row_offsets,
-        };
-        assert_native_parity(&l1, 4, |ctx, cluster| {
-            conv_channel_mixed(ctx, &job, cluster, engine).unwrap()
-        });
-    }
-}
 
 /// End to end through the compiled executor: a native-tier
 /// `PreparedGraph` of the graph behind the `net-vit-tiny-native` bench

@@ -283,7 +283,7 @@ fn coalesced_k_tiled_mlp_matches_sequential() {
 /// The native tier through the service: outputs stay bit-identical to
 /// the bulk-tier sequential baseline for both graphs, but no cycle
 /// assertions are possible — `sim_cycles` is `None` on every response
-/// because the native tier compiles simulation charging out.
+/// because the native tier withholds cycles.
 #[test]
 fn native_tier_service_matches_bulk_outputs() {
     let nm = Nm::ONE_OF_EIGHT;
